@@ -60,10 +60,10 @@ FleetResult run_fleet(int fleet, std::uint32_t concurrency, bool contended,
   agent::PlatformConfig cfg;
   cfg.node_concurrency = concurrency;
   cfg.span_tracing = tracing;
-  // A4 measures the slotted scheduler against the CLASSIC envelope —
-  // exact serialized makespans, and instance-lock conflicts as the
-  // contention signal — so the newer defaults (per-key locking, group
-  // commit) are pinned off; A6/A7 sweep those knobs deliberately.
+  // A4 measures the slotted scheduler alone — exact serialized makespans,
+  // and whole-instance lock conflicts as the contention signal — so it
+  // locks per instance and syncs every commit (window 1); A6/A7 sweep
+  // those knobs deliberately.
   cfg.lock_granularity = resource::LockGranularity::instance;
   cfg.group_commit_window = 1;
   TestWorld w(cfg, /*node_count=*/1, seed);

@@ -2,21 +2,22 @@
 //
 // The exactly-once protocol keeps every agent in stable storage between
 // steps, so a node restart must rebuild the record read path before it
-// can re-offer queued work. Classic (unsegmented) storage replays the
-// ENTIRE record area — work that grows without bound with agent age
-// between full-image compactions. The segmented record log
-// (src/storage/segment_log.h) bounds it: recovery replays only the
-// CRC32-framed log since the last completed fuzzy checkpoint.
+// can re-offer queued work. Without checkpoints that means replaying the
+// ENTIRE retained record log — work that grows without bound with agent
+// age between full-image compactions. Fuzzy checkpoints of the segmented
+// record log (src/storage/segment_log.h) bound it: recovery replays only
+// the CRC32-framed log since the last completed checkpoint.
 //
 // This bench ages a fleet of spend_logged agents to ~8/32/128 committed
 // steps, then crashes and immediately recovers their node, measuring
 //   * recovery_replayed_bytes — bytes the recovery scan replayed, and
 //   * recovery_ms             — wall-clock of the crash->up transition,
-// for classic mode (the unbounded full-replay envelope) vs the segmented
-// log with checkpoints armed. Expected shape: classic replayed bytes grow
-// >= 1.5x from the youngest to the oldest age; segmented+checkpoint
-// replayed bytes stay bounded (<= 1.3x); and after recovery every agent
-// still completes with exactly-once intact (visits == steps).
+// for the log without checkpoints (mode no_checkpoint: the unbounded
+// full-replay baseline) vs the log with checkpoints armed (mode
+// segmented). Expected shape: no_checkpoint replayed bytes grow >= 1.5x
+// from the youngest to the oldest age; checkpointed replayed bytes stay
+// bounded (<= 1.3x); and after recovery every agent still completes with
+// exactly-once intact (visits == steps).
 #include <chrono>
 #include <cstdlib>
 #include <iomanip>
@@ -47,20 +48,19 @@ struct RunResult {
 /// Age `fleet` agents to ~`age` committed steps each on one node, crash
 /// that node, time the recovery, then run the fleet to completion and
 /// verify exactly-once. Deterministic in everything except wall time.
-RunResult age_then_recover(int fleet, int age, bool segmented) {
+RunResult age_then_recover(int fleet, int age, bool checkpoints) {
   agent::PlatformConfig cfg;
   cfg.incremental_commit = true;
   // The aging sweep measures recovery vs age, so push the orthogonal
   // compaction policy out of the window — compaction is exactly the
-  // mitigation whose absence the classic envelope exposes.
+  // mitigation whose absence the no_checkpoint baseline exposes.
   cfg.compaction_interval_steps = 4096;
   cfg.discard_log_on_top_level = false;
-  cfg.segmented_log = segmented;
   cfg.segment_bytes = 4096;
   // Checkpoints are the point of the segmented cell: a fuzzy snapshot
   // roughly every 4 KiB of record-log writes bounds replay independent
-  // of age. Classic mode has no checkpoint machinery to arm.
-  cfg.checkpoint_interval_bytes = segmented ? 4096 : 0;
+  // of age. The no_checkpoint cell replays the whole retained log.
+  cfg.checkpoint_interval_bytes = checkpoints ? 4096 : 0;
   TestWorld w(cfg, /*node_count=*/1, /*seed=*/5);
   harness::register_workload(w.platform);
 
@@ -90,8 +90,8 @@ RunResult age_then_recover(int fleet, int age, bool segmented) {
       [&] { return storage.stats().record_appends.load() >= target; });
 
   // Crash and immediately recover: the timed window is the recovery scan
-  // (checkpoint load + log replay in segmented mode, the full-area
-  // envelope in classic mode) plus the tx-layer recovery pass.
+  // (checkpoint load, if any, + log replay) plus the tx-layer recovery
+  // pass.
   auto& rt = w.platform.node(TestWorld::n(1));
   const auto t0 = std::chrono::steady_clock::now();
   rt.on_node_state(false);
@@ -122,7 +122,7 @@ struct Cell {
   RunResult r;
   int age = 0;
   int fleet = 0;
-  bool segmented = false;
+  bool checkpoints = false;
 };
 
 }  // namespace
@@ -146,23 +146,23 @@ int main(int argc, char** argv) {
                "recovery\n vs fleet size x agent age; param "
             << kParamBytes << " B)\n\n";
   std::cout
-      << "mode       age  fleet  replayed[B]  segs  ckpts  recovery[ms]\n";
+      << "mode           age  fleet  replayed[B]  segs  ckpts  recovery[ms]\n";
   std::cout
-      << "------------------------------------------------------------\n";
+      << "----------------------------------------------------------------\n";
 
   bool shape_ok = true;
   std::vector<Cell> cells;
-  for (const bool segmented : {false, true}) {
+  for (const bool checkpoints : {false, true}) {
     for (const int fleet : fleets) {
       for (const int age : ages) {
         Cell c;
-        c.r = age_then_recover(fleet, age, segmented);
+        c.r = age_then_recover(fleet, age, checkpoints);
         c.age = age;
         c.fleet = fleet;
-        c.segmented = segmented;
+        c.checkpoints = checkpoints;
         cells.push_back(c);
         shape_ok = shape_ok && c.r.ok;
-        std::cout << (segmented ? "segmented " : "classic   ")
+        std::cout << (checkpoints ? "segmented     " : "no_checkpoint ")
                   << std::setw(3) << age << "  " << std::setw(5) << fleet
                   << "  " << std::setw(11) << c.r.replayed_bytes << "  "
                   << std::setw(4) << c.r.replayed_segments << "  "
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
                   << std::fixed << std::setprecision(3) << c.r.recovery_ms
                   << "\n";
         report.row()
-            .set("mode", segmented ? "segmented" : "classic")
+            .set("mode", checkpoints ? "segmented" : "no_checkpoint")
             .set("age", age)
             .set("fleet", fleet)
             .set("recovery_replayed_bytes", c.r.replayed_bytes)
@@ -182,9 +182,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto cell_of = [&cells](int age, int fleet, bool segmented) -> const Cell& {
+  auto cell_of = [&cells](int age, int fleet,
+                          bool checkpoints) -> const Cell& {
     for (const auto& c : cells) {
-      if (c.age == age && c.fleet == fleet && c.segmented == segmented) {
+      if (c.age == age && c.fleet == fleet && c.checkpoints == checkpoints) {
         return c;
       }
     }
@@ -192,47 +193,45 @@ int main(int argc, char** argv) {
     return cells.front();
   };
 
-  // Shape checks: classic replay grows with age (the unbounded envelope),
-  // segmented+checkpoint replay stays bounded, and is strictly cheaper
-  // than classic at the oldest age.
+  // Shape checks: replay without checkpoints grows with age (the
+  // unbounded baseline), checkpointed replay stays bounded, and is
+  // strictly cheaper at the oldest age.
   const int oldest = ages.back();
   std::cout << "\n";
   for (const int fleet : fleets) {
-    const auto& classic_young = cell_of(ages.front(), fleet, false);
-    const auto& classic_old = cell_of(oldest, fleet, false);
+    const auto& full_young = cell_of(ages.front(), fleet, false);
+    const auto& full_old = cell_of(oldest, fleet, false);
     const auto& seg_young = cell_of(ages.front(), fleet, true);
     const auto& seg_old = cell_of(oldest, fleet, true);
-    const double classic_growth =
-        static_cast<double>(classic_old.r.replayed_bytes) /
-        static_cast<double>(classic_young.r.replayed_bytes);
+    const double full_growth =
+        static_cast<double>(full_old.r.replayed_bytes) /
+        static_cast<double>(full_young.r.replayed_bytes);
     const double seg_growth =
         static_cast<double>(seg_old.r.replayed_bytes) /
         static_cast<double>(seg_young.r.replayed_bytes);
-    const bool grows = classic_growth >= 1.5;
+    const bool grows = full_growth >= 1.5;
     const bool bounded = seg_growth <= 1.3;
-    const bool cheaper =
-        seg_old.r.replayed_bytes < classic_old.r.replayed_bytes;
+    const bool cheaper = seg_old.r.replayed_bytes < full_old.r.replayed_bytes;
     const bool checkpointed = seg_old.r.checkpoints > 0;
     // Wall-clock: recovery time has an O(live state) floor no storage
     // scheme removes — re-offering a resident agent decodes its image,
     // and this sweep deliberately lets state grow by deferring
     // compaction — so recovery_ms is NOT flat in age here. The wall
-    // assertion is comparative instead: segmented recovery (which
-    // actually parses and CRC-checks frames) must stay within a small
-    // constant factor of the classic envelope (which merely walks the
-    // area) at the oldest age, while the deterministic replayed-bytes
-    // curves above carry the boundedness claim. Generous factor +
-    // absolute floor absorb timer noise.
-    const double wall_budget =
-        std::max(1.0, 4.0 * classic_old.r.recovery_ms);
+    // assertion is comparative instead: checkpointed recovery (which
+    // installs a snapshot, then replays the log tail) must stay within a
+    // small constant factor of the full log replay at the oldest age,
+    // while the deterministic replayed-bytes curves above carry the
+    // boundedness claim. Generous factor + absolute floor absorb timer
+    // noise.
+    const double wall_budget = std::max(1.0, 4.0 * full_old.r.recovery_ms);
     const bool wall_flat =
         !gate_on_wall_clock || seg_old.r.recovery_ms <= wall_budget;
-    std::cout << "fleet " << fleet << ": classic grows "
-              << std::setprecision(2) << classic_growth
+    std::cout << "fleet " << fleet << ": no_checkpoint grows "
+              << std::setprecision(2) << full_growth
               << "x, segmented " << seg_growth << "x (ckpts "
               << seg_old.r.checkpoints << "), old-age replay "
               << seg_old.r.replayed_bytes << " vs "
-              << classic_old.r.replayed_bytes << " B -> "
+              << full_old.r.replayed_bytes << " B -> "
               << ((grows && bounded && cheaper && checkpointed && wall_flat)
                       ? "OK"
                       : "MISMATCH")
@@ -243,10 +242,11 @@ int main(int argc, char** argv) {
         .set("phase", "check")
         .set("fleet", fleet)
         .set("oldest_age", oldest)
-        .set("classic_growth", classic_growth)
+        .set("no_checkpoint_growth", full_growth)
         .set("segmented_growth", seg_growth)
         .set("segmented_old_replayed_bytes", seg_old.r.replayed_bytes)
-        .set("classic_old_replayed_bytes", classic_old.r.replayed_bytes)
+        .set("no_checkpoint_old_replayed_bytes",
+             full_old.r.replayed_bytes)
         .set("wall_gated", gate_on_wall_clock);
   }
 

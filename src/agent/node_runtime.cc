@@ -32,12 +32,10 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   txm_.set_group_commit(platform.config().group_commit_window,
                         platform.config().group_commit_flush_us);
   txm_.set_trace(&platform.trace());
-  if (platform.config().segmented_log) {
-    storage_.enable_segmented_log(
-        storage::SegmentLogConfig{platform.config().segment_bytes});
-    txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
-                        platform.config().checkpoint_write_us);
-  }
+  storage_.enable_segmented_log(
+      storage::SegmentLogConfig{platform.config().segment_bytes});
+  txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
+                      platform.config().checkpoint_write_us);
   qm_.set_clock([this] { return p_.sim().now(); });
 
   // Metrics registry (DESIGN.md §12): every stats counter of this node's
@@ -502,9 +500,8 @@ void NodeRuntime::on_node_state(bool up) {
   if (up) {
     // Rebuild the record read path BEFORE the tx layer re-drives decided
     // commits: commit_locals may apply staged record ops on top of it.
-    // Segmented mode replays the checksummed log (possibly truncating a
-    // torn tail, or throwing CorruptionError on mid-log damage); classic
-    // mode meters the full-area replay envelope.
+    // Replays the checksummed log (possibly truncating a torn tail, or
+    // throwing CorruptionError on mid-log damage).
     storage::RecoveryReport report;
     const auto recovery_begin = p_.sim().now();
     try {
@@ -699,34 +696,20 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
   }
   // Remote staging rides the destination's convoy: the shipment manager
   // batches transfers, delta-ships against the channel cache and handles
-  // full-image fallback and timeouts.
+  // full-image fallback and timeouts. The convoy frame carries the
+  // PREPARE, so the commit machinery starts NOW instead of after a staging
+  // ack round trip — one round trip covers transfer + vote, and the
+  // batched decision flush amortizes the coordinator sync across every
+  // transaction decided in the window. The continuation in `done`
+  // re-pumps the scheduler slot at ack drain. A shipment timeout aborts
+  // only while votes are still outstanding (once decided, the timeout is
+  // stale).
   txm_.enlist_remote(tx, dest);
-  if (txm_.pipelined()) {
-    // Pipelined commit: the convoy frame carries the PREPARE, so the
-    // commit machinery starts NOW instead of after a staging ack round
-    // trip — one round trip covers transfer + vote, and the batched
-    // decision flush amortizes the coordinator sync across every
-    // transaction decided in the window. The continuation in `done`
-    // re-pumps the scheduler slot at ack drain. A shipment timeout
-    // aborts only while votes are still outstanding (once decided, the
-    // timeout is stale).
-    txm_.note_piggybacked(tx, dest);
-    ship_.stage_remote(tx, dest, std::move(record),
-                       [this, tx](bool ok) {
-                         if (!ok) txm_.abort_if_preparing(tx);
-                       });
-    txm_.commit_async(tx, std::move(done));
-    return;
-  }
-  ship_.stage_remote(tx, dest, std::move(record),
-                     [this, tx, done = std::move(done)](bool ok) {
-                       if (!ok) {
-                         txm_.abort_tx(tx);
-                         done(false);
-                         return;
-                       }
-                       txm_.commit_async(tx, done);
-                     });
+  txm_.note_piggybacked(tx, dest);
+  ship_.stage_remote(tx, dest, std::move(record), [this, tx](bool ok) {
+    if (!ok) txm_.abort_if_preparing(tx);
+  });
+  txm_.commit_async(tx, std::move(done));
 }
 
 void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {

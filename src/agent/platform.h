@@ -63,19 +63,17 @@ struct PlatformConfig {
   /// transactions and resource locks, so raising this multiprograms a node:
   /// slots claim records by id (per-agent exclusion, FIFO otherwise), lock
   /// conflicts abort the loser's transaction into backoff/retry, and a
-  /// crash invalidates every in-flight slot at once. 1 reproduces the
-  /// classic one-record-at-a-time runtime bit-for-bit.
+  /// crash invalidates every in-flight slot at once. 1 runs one record at
+  /// a time.
   std::uint32_t node_concurrency = 1;
 
   /// Resource lock/overlay granularity (the contended-fleet fast path).
-  /// `instance` reproduces the classic one-exclusive-lock-per-resource
-  /// envelope bit for bit; `per_key` lets step transactions with disjoint
-  /// declared key-sets (per account, per item, per mailbox slot, ...) run
-  /// concurrently against ONE instance — conflicts only arise on
-  /// overlapping keys, so contended fleets scale with node_concurrency.
-  /// Per-key is the default since undeclared operations fall back to
-  /// whole-instance locking (always correct); `instance` remains available
-  /// (and tested) as the classic envelope.
+  /// `per_key` lets step transactions with disjoint declared key-sets (per
+  /// account, per item, per mailbox slot, ...) run concurrently against
+  /// ONE instance — conflicts only arise on overlapping keys, so contended
+  /// fleets scale with node_concurrency; undeclared operations lock the
+  /// whole instance (always correct). `instance` coarsens every key-set
+  /// to the whole instance: one exclusive lock per resource.
   resource::LockGranularity lock_granularity =
       resource::LockGranularity::per_key;
 
@@ -97,11 +95,12 @@ struct PlatformConfig {
   /// flushed — participants applied, one metered stable-storage sync,
   /// callbacks — once this many commits are pending or after
   /// group_commit_flush_us. Amortizes the per-commit sync across the
-  /// slots of a busy node (syncs/step < 1); 1 syncs every commit. A
-  /// window > 1 also coalesces PARTICIPANT-side 2PC work: prepares and
-  /// commit-applies arriving within the window share one metered sync
-  /// each (votes/acks leave only after the batched sync), with
-  /// crash-before-flush presuming abort exactly like the local queue.
+  /// slots of a busy node (syncs/step < 1); 1 syncs every commit. The
+  /// window also batches the coordinator's decision records and the
+  /// PARTICIPANT-side 2PC work: prepares and commit-applies arriving
+  /// within the window share one metered sync each (votes/acks leave
+  /// only after the batched sync), with crash-before-flush presuming
+  /// abort exactly like the local queue.
   std::uint32_t group_commit_window = 4;
   sim::TimeUs group_commit_flush_us = 100;
 
@@ -132,8 +131,8 @@ struct PlatformConfig {
   /// SAME node, commit only a delta — the step's appended log entries and
   /// dirty data-space slots — into an append-only stable record instead of
   /// rewriting the full agent image. Full images are still written on
-  /// migration, spawn, rollback and periodic compaction. false reproduces
-  /// the full-image-per-step durability path bit for bit.
+  /// migration, spawn, rollback and periodic compaction. false writes the
+  /// full image at every step.
   bool incremental_commit = true;
   /// Compact an agent's append-only record back to a single full image
   /// after this many delta segments (bounds recovery replay length and
@@ -147,20 +146,17 @@ struct PlatformConfig {
   double compaction_ratio = 0.0;
 
   // --- segmented record log + crash recovery (src/storage/segment_log.h) ---
-  /// Keep each node's record area in rotated, CRC32-framed log segments
-  /// instead of a trusted in-memory map: recovery replays the log
-  /// (detecting torn tails and mid-log damage by checksum) and fuzzy
-  /// checkpoints bound how much of it. false reproduces the classic
-  /// unsegmented record area bit for bit — the unbounded-replay envelope
-  /// bench_a8/e6 measure against.
-  bool segmented_log = true;
-  /// Rotation threshold for one log segment (segmented_log only).
+  // Each node's record area lives in rotated, CRC32-framed log segments:
+  // recovery replays the log (detecting torn tails and mid-log damage by
+  // checksum) and fuzzy checkpoints bound how much of it.
+  /// Rotation threshold for one log segment.
   std::size_t segment_bytes = 16 * 1024;
   /// Begin a fuzzy checkpoint whenever at least this many record-log
   /// bytes accumulated since the last one; completion rides the
   /// group-commit flush timers so the commit pipeline never stalls.
-  /// 0 disables checkpoints (recovery replays the whole retained log).
-  /// Off by default: the periodic O(state) snapshot writes would skew
+  /// 0 disables checkpoints (recovery replays the whole retained log —
+  /// the unbounded-replay baseline bench_a8/e6 measure against). Off by
+  /// default: the periodic O(state) snapshot writes would skew
   /// steady-state byte meters (A5); recovery-focused runs opt in.
   std::size_t checkpoint_interval_bytes = 0;
   /// Simulated time between checkpoint begin and completion (the fuzzy

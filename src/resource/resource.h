@@ -13,7 +13,7 @@
 // within its state the operation reads and writes (KeySet); under per-key
 // locking the manager locks and overlays exactly those keys, so conflicts
 // only arise on overlapping key-sets. The default declaration — the whole
-// instance — is always correct and reproduces classic instance locking.
+// instance — is always correct: one exclusive lock on the instance.
 #pragma once
 
 #include <string>

@@ -79,45 +79,8 @@ bool ResourceManager::has_resource(const std::string& name) const {
   return instances_.contains(name);
 }
 
-Result<Value> ResourceManager::invoke(TxId tx, const std::string& resource,
-                                      std::string_view op,
-                                      const Value& params) {
-  auto it = instances_.find(resource);
-  if (it == instances_.end()) {
-    return Status(Errc::not_found, "no such resource: " + resource);
-  }
-  if (granularity_ == LockGranularity::per_key) {
-    return invoke_per_key(tx, it->second, resource, op, params);
-  }
-  // Strict exclusive locking, no waiting: a conflict aborts the caller's
-  // transaction, which the platform restarts later (Sec. 2 abort/restart).
-  auto lock = locks_.find(resource);
-  if (lock != locks_.end() && lock->second != tx) {
-    if (audit_) audit_->on_conflict(tx, lock->second);
-    return Status(Errc::lock_conflict,
-                  "resource " + resource + " locked by tx " +
-                      std::to_string(lock->second.value()));
-  }
-  locks_[resource] = tx;
-  if (audit_) audit_->on_acquire(tx, resource, "*");
-  auto& overlay = overlays_[tx];
-  auto [sit, inserted] =
-      overlay.touched.try_emplace(resource, it->second.state);
-  Value& state = sit->second;
-  Value before = state;
-  auto result = it->second.logic->invoke(op, params, state);
-  if (!result.is_ok()) {
-    // Failed operations must not leave partial mutations in the overlay;
-    // the transaction may continue with other work.
-    state = std::move(before);
-  } else if (state != before) {
-    overlay.dirty.insert(resource);
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Per-key path
+// Invoke: key-set locks + sparse overlay slices
 // ---------------------------------------------------------------------------
 
 ResourceManager::KeySlice ResourceManager::read_unit(
@@ -190,8 +153,8 @@ Status ResourceManager::acquire_key_locks(TxId tx, const std::string& resource,
                                           const std::vector<KeyRef>& units) {
   // All-or-nothing, no waiting: check every requested unit against every
   // held overlapping unit first, then record the grants.
-  auto tit = key_locks_.find(resource);
-  if (tit != key_locks_.end()) {
+  auto tit = lock_table_.find(resource);
+  if (tit != lock_table_.end()) {
     for (const auto& u : units) {
       for (const auto& [held, l] : tit->second) {
         if (!units_overlap(u.unit, held)) continue;
@@ -215,7 +178,7 @@ Status ResourceManager::acquire_key_locks(TxId tx, const std::string& resource,
       }
     }
   }
-  auto& table = key_locks_[resource];
+  auto& table = lock_table_[resource];
   for (const auto& u : units) {
     auto& l = table[u.unit];
     if (u.write) {
@@ -228,15 +191,22 @@ Status ResourceManager::acquire_key_locks(TxId tx, const std::string& resource,
   return Status::ok();
 }
 
-Result<Value> ResourceManager::invoke_per_key(TxId tx, Instance& inst,
-                                              const std::string& resource,
-                                              std::string_view op,
-                                              const Value& params) {
-  KeySet ks = inst.logic->key_set(op, params);
+Result<Value> ResourceManager::invoke(TxId tx, const std::string& resource,
+                                      std::string_view op,
+                                      const Value& params) {
+  auto iit = instances_.find(resource);
+  if (iit == instances_.end()) {
+    return Status(Errc::not_found, "no such resource: " + resource);
+  }
+  Instance& inst = iit->second;
+  // Instance granularity coarsens every key-set to the whole instance.
+  KeySet ks = granularity_ == LockGranularity::per_key
+                  ? inst.logic->key_set(op, params)
+                  : KeySet::whole();
   std::vector<KeyRef> units;
   if (ks.whole_instance || ks.keys.empty()) {
-    // Whole-instance access is one exclusive "*" key: semantics identical
-    // to instance granularity for this operation.
+    // Whole-instance access (undeclared operations included) is one
+    // exclusive "*" key.
     units.push_back(KeyRef{std::string(kWholeInstance), true});
   } else {
     units = std::move(ks.keys);
@@ -299,7 +269,7 @@ Result<Value> ResourceManager::invoke_per_key(TxId tx, Instance& inst,
   auto result = inst.logic->invoke(op, params, working);
   if (!result.is_ok()) {
     // Failed operations leave no trace in the overlay (the working copy is
-    // discarded); acquired locks are held to tx end, as in instance mode.
+    // discarded); acquired locks are held to tx end.
     return result;
   }
 
@@ -337,7 +307,10 @@ Result<Value> ResourceManager::invoke_per_key(TxId tx, Instance& inst,
   }
 
   for (const auto& u : units) {
-    KeySlice after = read_unit(working, u.unit);
+    // A "*" unit is alone, so it takes the working state without a copy.
+    KeySlice after = u.unit == kWholeInstance
+                         ? KeySlice{std::move(working), true, false}
+                         : read_unit(working, u.unit);
     const KeySlice& prev = before.at(u.unit);
     const bool changed =
         after.present != prev.present ||
@@ -370,16 +343,14 @@ void ResourceManager::poke_state(const std::string& name, Value state) {
 }
 
 bool ResourceManager::locked(const std::string& name) const {
-  if (locks_.contains(name)) return true;
-  auto it = key_locks_.find(name);
-  return it != key_locks_.end() && !it->second.empty();
+  auto it = lock_table_.find(name);
+  return it != lock_table_.end() && !it->second.empty();
 }
 
 bool ResourceManager::locked_key(const std::string& name,
                                  const std::string& unit) const {
-  if (locks_.contains(name)) return true;
-  auto it = key_locks_.find(name);
-  if (it == key_locks_.end()) return false;
+  auto it = lock_table_.find(name);
+  if (it == lock_table_.end()) return false;
   return std::any_of(it->second.begin(), it->second.end(),
                      [&unit](const auto& kv) {
                        return units_overlap(kv.first, unit);
@@ -396,46 +367,29 @@ bool ResourceManager::prepare(TxId tx) {
   auto it = overlays_.find(tx);
   if (it == overlays_.end()) return false;
   if (it->second.prepared) return true;  // idempotent
-  serial::Encoder enc;
-  if (granularity_ == LockGranularity::per_key) {
-    // Only dirty slices need to survive a crash; the write path pays
-    // O(touched keys), not O(instance state). The counting pass doubles
-    // as the size pass, so the marker is one allocation.
-    std::size_t dirty = 0;
-    std::size_t bytes = 0;
-    for (const auto& [resource, res_slices] : it->second.slices) {
-      for (const auto& [unit, slice] : res_slices) {
-        if (!slice.dirty) continue;
-        ++dirty;
-        bytes += serial::blob_size(resource.size()) +
-                 serial::blob_size(unit.size()) + 1 +
-                 (slice.present ? slice.value.encoded_size() : 0);
-      }
+  // Only dirty slices need to survive a crash; the write path pays
+  // O(touched keys), not O(instance state). The counting pass doubles as
+  // the size pass, so the marker is one allocation.
+  std::size_t dirty = 0;
+  std::size_t bytes = 0;
+  for (const auto& [resource, res_slices] : it->second.slices) {
+    for (const auto& [unit, slice] : res_slices) {
+      if (!slice.dirty) continue;
+      ++dirty;
+      bytes += serial::blob_size(resource.size()) +
+               serial::blob_size(unit.size()) + 1 +
+               (slice.present ? slice.value.encoded_size() : 0);
     }
-    enc.reserve(serial::varint_size(dirty) + bytes);
-    enc.write_varint(dirty);
-    for (const auto& [resource, res_slices] : it->second.slices) {
-      for (const auto& [unit, slice] : res_slices) {
-        if (!slice.dirty) continue;
-        enc.write_string(resource);
-        enc.write_string(unit);
-        enc.write_bool(slice.present);
-        if (slice.present) slice.value.serialize(enc);
-      }
-    }
-  } else {
-    // Only modified states need to survive a crash; clean copies are
-    // reconstructible (and irrelevant to the commit).
-    std::size_t bytes = serial::varint_size(it->second.dirty.size());
-    for (const auto& name : it->second.dirty) {
-      bytes += serial::blob_size(name.size()) +
-               it->second.touched.at(name).encoded_size();
-    }
-    enc.reserve(bytes);
-    enc.write_varint(it->second.dirty.size());
-    for (const auto& name : it->second.dirty) {
-      enc.write_string(name);
-      it->second.touched.at(name).serialize(enc);
+  }
+  serial::Encoder enc(serial::varint_size(dirty) + bytes);
+  enc.write_varint(dirty);
+  for (const auto& [resource, res_slices] : it->second.slices) {
+    for (const auto& [unit, slice] : res_slices) {
+      if (!slice.dirty) continue;
+      enc.write_string(resource);
+      enc.write_string(unit);
+      enc.write_bool(slice.present);
+      if (slice.present) slice.value.serialize(enc);
     }
   }
   stable_.put(prep_key(tx), std::move(enc).take());
@@ -443,9 +397,10 @@ bool ResourceManager::prepare(TxId tx) {
   return true;
 }
 
-void ResourceManager::commit_per_key(TxId tx, Overlay& overlay) {
-  (void)tx;
-  for (auto& [resource, res_slices] : overlay.slices) {
+void ResourceManager::commit(TxId tx) {
+  auto it = overlays_.find(tx);
+  if (it == overlays_.end()) return;  // idempotent
+  for (auto& [resource, res_slices] : it->second.slices) {
     auto iit = instances_.find(resource);
     MAR_DCHECK(iit != instances_.end());
     Value& state = iit->second.state;
@@ -481,24 +436,6 @@ void ResourceManager::commit_per_key(TxId tx, Overlay& overlay) {
       stable_.put("res:" + resource + "/" + unit, std::move(durable));
     }
   }
-}
-
-void ResourceManager::commit(TxId tx) {
-  auto it = overlays_.find(tx);
-  if (it == overlays_.end()) return;  // idempotent
-  if (granularity_ == LockGranularity::per_key) {
-    commit_per_key(tx, it->second);
-  } else {
-    for (auto& [name, state] : it->second.touched) {
-      // Read-only access writes nothing back (and costs no stable I/O).
-      if (!it->second.dirty.contains(name)) continue;
-      auto iit = instances_.find(name);
-      MAR_DCHECK(iit != instances_.end());
-      iit->second.state = std::move(state);
-      // Committed resource state is durable (models the resource's DB).
-      stable_.put("res:" + name, serial::to_bytes(iit->second.state));
-    }
-  }
   stable_.erase(prep_key(tx));
   overlays_.erase(it);
   release_locks(tx);
@@ -515,8 +452,7 @@ void ResourceManager::abort(TxId tx) {
 
 void ResourceManager::release_locks(TxId tx) {
   if (audit_) audit_->on_release(tx);
-  std::erase_if(locks_, [tx](const auto& kv) { return kv.second == tx; });
-  for (auto rit = key_locks_.begin(); rit != key_locks_.end();) {
+  for (auto rit = lock_table_.begin(); rit != lock_table_.end();) {
     auto& table = rit->second;
     for (auto uit = table.begin(); uit != table.end();) {
       UnitLock& l = uit->second;
@@ -529,7 +465,7 @@ void ResourceManager::release_locks(TxId tx) {
       }
     }
     if (table.empty()) {
-      rit = key_locks_.erase(rit);
+      rit = lock_table_.erase(rit);
     } else {
       ++rit;
     }
@@ -541,8 +477,7 @@ void ResourceManager::on_crash() {
   // reloaded from stable storage and their locks re-acquired (a prepared
   // participant must keep isolating its writes until the decision).
   overlays_.clear();
-  locks_.clear();
-  key_locks_.clear();
+  lock_table_.clear();
   if (audit_) audit_->reset();
   stable_.for_each_with_prefix("prep.res:", [this](const std::string& key,
                                                    const serial::Bytes&
@@ -552,28 +487,16 @@ void ResourceManager::on_crash() {
     Overlay o;
     o.prepared = true;
     const auto n = dec.read_varint();
-    if (granularity_ == LockGranularity::per_key) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        auto resource = dec.read_string();
-        auto unit = dec.read_string();
-        KeySlice slice;
-        slice.dirty = true;
-        slice.present = dec.read_bool();
-        if (slice.present) slice.value.deserialize(dec);
-        key_locks_[resource][unit].writer = tx;
-        if (audit_) audit_->on_acquire(tx, resource, unit);
-        o.slices[resource].emplace(std::move(unit), std::move(slice));
-      }
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        auto name = dec.read_string();
-        Value state;
-        state.deserialize(dec);
-        locks_[name] = tx;
-        if (audit_) audit_->on_acquire(tx, name, "*");
-        o.dirty.insert(name);
-        o.touched.emplace(std::move(name), std::move(state));
-      }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      auto resource = dec.read_string();
+      auto unit = dec.read_string();
+      KeySlice slice;
+      slice.dirty = true;
+      slice.present = dec.read_bool();
+      if (slice.present) slice.value.deserialize(dec);
+      lock_table_[resource][unit].writer = tx;
+      if (audit_) audit_->on_acquire(tx, resource, unit);
+      o.slices[resource].emplace(std::move(unit), std::move(slice));
     }
     overlays_.emplace(tx, std::move(o));
   });

@@ -1,18 +1,18 @@
 // Transactional resource manager: one per node.
 //
 // Provides the ACID envelope the paper assumes of node-local resources:
-//   * strict exclusive locking (conflicts surface as Errc::lock_conflict;
-//     the enclosing step transaction aborts and the platform restarts it —
-//     the paper's abort/restart of a step), at a configurable granularity:
-//     per resource *instance* (the classic envelope), or per declared
-//     state *key* (Sec. 2 requires isolation per datum — two transactions
-//     with disjoint key-sets on one instance run concurrently);
-//   * per-transaction copy-on-write overlays, so "if the execution of a
-//     step aborts, all changes to resources during the step transaction
-//     are undone automatically" (Sec. 2) — whole-state copies under
-//     instance locking, sparse per-key slices under per-key locking;
-//   * durable committed state plus prepared-overlay persistence (at the
-//     matching granularity), making it a well-behaved 2PC participant.
+//   * strict locking (conflicts surface as Errc::lock_conflict; the
+//     enclosing step transaction aborts and the platform restarts it —
+//     the paper's abort/restart of a step) on the shared/exclusive units of
+//     each operation's declared key-set (Sec. 2 requires isolation per
+//     datum — two transactions with disjoint key-sets on one instance run
+//     concurrently). `instance` granularity coarsens every key-set to one
+//     exclusive whole-instance unit "*";
+//   * per-transaction copy-on-write overlays of the locked units, so "if
+//     the execution of a step aborts, all changes to resources during the
+//     step transaction are undone automatically" (Sec. 2);
+//   * durable committed state plus prepared-overlay persistence (the dirty
+//     units only), making it a well-behaved 2PC participant.
 #pragma once
 
 #include <map>
@@ -40,13 +40,13 @@ class ResourceManager final : public tx::Participant {
   [[nodiscard]] bool has_resource(const std::string& name) const;
 
   /// Lock/overlay granularity. Setup-time only (fixed for a node's life);
-  /// `instance` reproduces the classic manager bit for bit.
+  /// `instance` locks every operation's whole instance exclusively.
   void set_granularity(LockGranularity g) { granularity_ = g; }
   [[nodiscard]] LockGranularity granularity() const { return granularity_; }
 
   /// Attach the debug lock-order / wait-for-graph validator (see
-  /// lock_audit.h). Every grant, conflict and release of both lock tables
-  /// is mirrored into it; a wait-for cycle hard-fails by default. On by
+  /// lock_audit.h). Every grant, conflict and release of the lock table is
+  /// mirrored into it; a wait-for cycle hard-fails by default. On by
   /// default in debug builds via PlatformConfig::lock_audit.
   void enable_lock_audit(LockAudit::Config config = {}) {
     audit_ = std::make_unique<LockAudit>(config);
@@ -55,10 +55,9 @@ class ResourceManager final : public tx::Participant {
   [[nodiscard]] LockAudit* lock_audit() { return audit_.get(); }
   [[nodiscard]] const LockAudit* lock_audit() const { return audit_.get(); }
 
-  /// Invoke an operation within transaction `tx`. Takes the instance lock
-  /// (or, under per-key locking, shared/exclusive locks on the operation's
-  /// declared key-set), held to commit/abort, and runs against the tx's
-  /// overlay copy.
+  /// Invoke an operation within transaction `tx`. Takes shared/exclusive
+  /// locks on the operation's key-set, held to commit/abort, and runs
+  /// against the tx's overlay copy of those units.
   Result<Value> invoke(TxId tx, const std::string& resource,
                        std::string_view op, const Value& params);
 
@@ -68,10 +67,9 @@ class ResourceManager final : public tx::Participant {
   /// Direct committed-state mutation for world setup (not transactional).
   void poke_state(const std::string& name, Value state);
 
-  /// Whether any transaction currently holds a lock on the instance (the
-  /// instance lock, or — per-key — any key lock of the instance).
+  /// Whether any transaction currently holds a lock on the instance.
   [[nodiscard]] bool locked(const std::string& name) const;
-  /// Per-key mode: whether any held lock overlaps `unit` of `name`.
+  /// Whether any held lock overlaps `unit` of `name`.
   [[nodiscard]] bool locked_key(const std::string& name,
                                 const std::string& unit) const;
 
@@ -95,16 +93,9 @@ class ResourceManager final : public tx::Participant {
     bool dirty = false;   ///< modified by this tx; written back at commit
   };
   struct Overlay {
-    // Instance granularity: whole-state copies.
-    std::map<std::string, Value> touched;
-    /// Resources whose overlay state was actually modified. Read-only
-    /// access must not write anything back at commit: comparing against
-    /// the committed state is NOT equivalent (it may have been changed by
-    /// world setup while we held the untouched copy).
-    std::set<std::string> dirty;
-    // Per-key granularity: resource -> unit -> slice. Units of one
-    // resource are pairwise non-overlapping (widening invokes fold
-    // narrower slices into the covering one).
+    /// resource -> unit -> slice. Units of one resource are pairwise
+    /// non-overlapping (widening invokes fold narrower slices into the
+    /// covering one).
     std::map<std::string, std::map<std::string, KeySlice>> slices;
     bool prepared = false;
   };
@@ -120,10 +111,7 @@ class ResourceManager final : public tx::Participant {
   }
   void release_locks(TxId tx);
 
-  // Per-key machinery (see resource_manager.cc for the unit algebra).
-  Result<Value> invoke_per_key(TxId tx, Instance& inst,
-                               const std::string& resource,
-                               std::string_view op, const Value& params);
+  // Unit algebra: see resource_manager.cc.
   Status acquire_key_locks(TxId tx, const std::string& resource,
                            const std::vector<KeyRef>& units);
   /// The value at `unit` within any state root ("*" / slot / slot-sub).
@@ -134,7 +122,6 @@ class ResourceManager final : public tx::Participant {
   void fold_into(const Instance& inst,
                  std::map<std::string, KeySlice>& res_slices,
                  const std::string& unit);
-  void commit_per_key(TxId tx, Overlay& overlay);
 
   storage::StableStorage& stable_;
   LockGranularity granularity_ = LockGranularity::instance;
@@ -142,12 +129,10 @@ class ResourceManager final : public tx::Participant {
   std::unique_ptr<LockAudit> audit_;
   std::map<std::string, Instance> instances_;
   std::map<TxId, Overlay> overlays_;
-  /// Instance-granularity lock table: resource -> holder.
-  std::map<std::string, TxId> locks_;
-  /// Per-key lock table: resource -> unit -> lock. Units of different
+  /// Lock table: resource -> unit -> lock. Units of different
   /// transactions may overlap (e.g. "accounts" vs "accounts/alice");
   /// acquisition scans the instance's held units for overlap.
-  std::map<std::string, std::map<std::string, UnitLock>> key_locks_;
+  std::map<std::string, std::map<std::string, UnitLock>> lock_table_;
 };
 
 }  // namespace mar::resource

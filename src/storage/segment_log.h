@@ -1,12 +1,10 @@
 // Segmented, checksummed record log with fuzzy checkpoints.
 //
 // The record area of StableStorage is logically a map from key to a
-// segment list (base image + deltas). Classic mode stores that map
-// directly, so a node restart replays the *entire* area — replay work
-// grows without bound between full-image compactions (ROADMAP item 4).
-// This module restructures the durable representation into rotated,
-// CRC32-framed log segments in the style of a log-file manager
-// (TokuDB's logfilemgr/checkpoint split is the production shape):
+// segment list (base image + deltas). This module keeps its durable
+// representation as rotated, CRC32-framed log segments in the style of a
+// log-file manager (TokuDB's logfilemgr/checkpoint split is the
+// production shape), so recovery replay is bounded by checkpoints:
 //
 //   segment := frame*                          (bounded by segment_bytes)
 //   frame   := crc32 (4B LE) | len (4B LE) | payload
@@ -16,8 +14,8 @@
 // same way as a torn body. Frames carry implicit LSNs: a segment records
 // the LSN of its first frame and frames within it are consecutive.
 //
-// The materialized per-key index (same shape the classic record area
-// exposes) is the volatile read path; the log is the durable truth.
+// The materialized per-key index (key -> segment list) is the volatile
+// read path; the log is the durable truth.
 // Recovery drops the index and replays the log:
 //
 //   * a bad frame at the physical tail of the log is a torn in-flight

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace mar::storage {
 
 void QueueRecord::serialize(serial::Encoder& enc) const {
@@ -74,98 +76,51 @@ void StableStorage::for_each_with_prefix(
 
 void StableStorage::record_reset(const std::string& key, serial::Bytes base) {
   ++stats_.record_resets;
-  if (seg_log_) {
-    stats_.bytes_written += seg_log_->append_reset(key, base);
-    return;
-  }
-  stats_.bytes_written += key.size() + base.size();
-  auto& segments = records_[key];
-  segments.clear();
-  segments.push_back(std::move(base));
+  stats_.bytes_written += seg_log_.append_reset(key, base);
 }
 
 void StableStorage::record_append(const std::string& key,
                                   serial::Bytes delta) {
   ++stats_.record_appends;
-  if (seg_log_) {
-    stats_.bytes_written += seg_log_->append_delta(key, delta);
-    return;
-  }
-  stats_.bytes_written += delta.size();
-  records_[key].push_back(std::move(delta));
+  stats_.bytes_written += seg_log_.append_delta(key, delta);
 }
 
 bool StableStorage::record_erase(const std::string& key) {
-  if (seg_log_) {
-    if (!seg_log_->has(key)) return false;
-    stats_.bytes_written += seg_log_->append_erase(key);
-    return true;
-  }
-  return records_.erase(key) > 0;
+  if (!seg_log_.has(key)) return false;
+  stats_.bytes_written += seg_log_.append_erase(key);
+  return true;
 }
 
 bool StableStorage::has_record(const std::string& key) const {
-  return seg_log_ ? seg_log_->has(key) : records_.contains(key);
+  return seg_log_.has(key);
 }
 
 const std::vector<serial::Bytes>* StableStorage::record_segments(
     const std::string& key) const {
-  if (seg_log_) return seg_log_->segments(key);
-  auto it = records_.find(key);
-  return it == records_.end() ? nullptr : &it->second;
+  return seg_log_.segments(key);
 }
 
 std::size_t StableStorage::record_segment_count(const std::string& key)
     const {
-  if (seg_log_) return seg_log_->segment_count(key);
-  auto it = records_.find(key);
-  return it == records_.end() ? 0 : it->second.size();
+  return seg_log_.segment_count(key);
 }
 
-std::size_t StableStorage::record_area_bytes() const {
-  if (seg_log_) return seg_log_->log_bytes();
-  std::size_t total = 0;
-  for (const auto& [key, segments] : records_) {
-    total += key.size();
-    for (const auto& seg : segments) total += seg.size();
-  }
-  return total;
-}
-
-bool StableStorage::begin_checkpoint() {
-  return seg_log_ && seg_log_->begin_checkpoint();
+void StableStorage::enable_segmented_log(SegmentLogConfig config) {
+  MAR_CHECK_MSG(seg_log_.next_lsn() == 0,
+                "segment log configured after the first record write");
+  seg_log_ = SegmentLog(config);
 }
 
 bool StableStorage::complete_checkpoint() {
-  if (!seg_log_) return false;
-  const std::size_t snapshot_bytes = seg_log_->complete_checkpoint();
+  const std::size_t snapshot_bytes = seg_log_.complete_checkpoint();
   if (snapshot_bytes == 0) return false;
   stats_.bytes_written += snapshot_bytes;
   ++stats_.checkpoints_completed;
   return true;
 }
 
-StorageFault StableStorage::inject_storage_fault(StorageFault fault,
-                                                 std::uint64_t seed) {
-  if (!seg_log_) return StorageFault::none;
-  return seg_log_->inject_fault(fault, seed);
-}
-
 RecoveryReport StableStorage::recover_records() {
-  RecoveryReport report;
-  if (seg_log_) {
-    report = seg_log_->recover();
-  } else {
-    // Classic mode keeps the materialized map as the durable truth; a
-    // real engine would re-read the whole area, so meter exactly that as
-    // the unbounded replay envelope the segmented log is gated against.
-    for (const auto& [key, segments] : records_) {
-      report.replayed_bytes += key.size();
-      for (const auto& seg : segments) report.replayed_bytes += seg.size();
-      report.replayed_frames += segments.size();
-      ++report.segments_scanned;
-    }
-  }
+  const RecoveryReport report = seg_log_.recover();
   stats_.recovery_replayed_bytes += report.replayed_bytes;
   stats_.recovery_segments += report.segments_scanned;
   return report;

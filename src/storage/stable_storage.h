@@ -12,7 +12,8 @@
 //     transaction records and commit decisions),
 //   * an append-only record area: per-key segment lists holding a base
 //     image plus appended deltas (incremental agent commits — the write
-//     path pays O(delta) per step instead of O(total state)), and
+//     path pays O(delta) per step instead of O(total state)), kept
+//     durably in a rotated, CRC32-framed SegmentLog, and
 //   * the agent input queue of the node, holding self-contained records.
 #pragma once
 
@@ -105,10 +106,8 @@ struct StorageStats {
   /// bandwidth the shipment cache saved the network.
   RelaxedCounter ship_bytes_received;
   RelaxedCounter ship_bytes_reconstructed;
-  /// Crash recovery (A8): bytes / segments the record-log replay touched
-  /// to rebuild the read path, and fuzzy checkpoints completed. Classic
-  /// (unsegmented) mode meters the full record area as its replay
-  /// envelope — the unbounded baseline the segmented log exists to beat.
+  /// Crash recovery (A8): bytes / segments the record-log replay read to
+  /// rebuild the read path, and fuzzy checkpoints completed.
   RelaxedCounter recovery_replayed_bytes;
   RelaxedCounter recovery_segments;
   RelaxedCounter checkpoints_completed;
@@ -156,42 +155,32 @@ class StableStorage {
       const;
 
   // --- segmented record log (rotation, checkpoints, recovery) --------------
-  // When enabled, the record area's durable representation moves into a
-  // rotated CRC32-framed SegmentLog; the record_* API above is unchanged
-  // (the log maintains the same materialized per-key index) but writes
-  // are metered at framed cost and recovery replays the log instead of
-  // trusting the in-memory map. Disabled (classic) mode is bit-exact
-  // with the unsegmented seed behavior.
-  void enable_segmented_log(SegmentLogConfig config) {
-    seg_log_.emplace(config);
-  }
-  [[nodiscard]] bool segmented() const { return seg_log_.has_value(); }
-  /// The underlying log, nullptr in classic mode (tests/benchmarks).
-  [[nodiscard]] SegmentLog* segment_log() {
-    return seg_log_ ? &*seg_log_ : nullptr;
-  }
-  /// Bytes a full (unsegmented) replay of the record area would read —
-  /// the classic recovery envelope.
-  [[nodiscard]] std::size_t record_area_bytes() const;
+  // The record area's durable representation is a rotated CRC32-framed
+  // SegmentLog; the record_* API above reads its materialized per-key
+  // index, writes are metered at framed cost, and recovery replays the
+  // log. Checkpoints are off until the tx layer arms them, so by default
+  // recovery replays the whole retained log.
+  /// Set the log's configuration. Setup-time only: must precede the
+  /// first record write.
+  void enable_segmented_log(SegmentLogConfig config);
+  /// The underlying log (checkpoint cadence).
+  [[nodiscard]] const SegmentLog& segment_log() const { return seg_log_; }
 
   /// Fuzzy checkpoint pass-throughs (driven by the tx-layer flush
-  /// timers). No-ops returning false/0 in classic mode.
-  bool begin_checkpoint();
+  /// timers). Returns false if one is already in progress.
+  bool begin_checkpoint() { return seg_log_.begin_checkpoint(); }
   /// Completes an in-progress checkpoint; meters the snapshot write and
   /// bumps checkpoints_completed. Returns false if none was in progress.
   bool complete_checkpoint();
-  [[nodiscard]] bool checkpoint_in_progress() const {
-    return seg_log_ && seg_log_->checkpoint_in_progress();
+
+  /// Crash-time damage hook (PlatformConfig::storage_fault).
+  StorageFault inject_storage_fault(StorageFault fault, std::uint64_t seed) {
+    return seg_log_.inject_fault(fault, seed);
   }
 
-  /// Crash-time damage hook (PlatformConfig::storage_fault). Classic
-  /// mode has no checksummed representation to damage: returns none.
-  StorageFault inject_storage_fault(StorageFault fault, std::uint64_t seed);
-
-  /// Rebuild the record read path after a crash. Segmented mode replays
-  /// the log (may truncate a torn tail or throw CorruptionError);
-  /// classic mode just meters the full-area replay envelope. Bumps the
-  /// recovery_* counters either way.
+  /// Rebuild the record read path after a crash: replays the log (may
+  /// truncate a torn tail or throw CorruptionError) and bumps the
+  /// recovery_* counters.
   RecoveryReport recover_records();
 
   /// Force accumulated writes to disk (the fsync of the model): a pure
@@ -238,9 +227,7 @@ class StableStorage {
 
  private:
   std::map<std::string, serial::Bytes> kv_;
-  /// Classic (unsegmented) record area; unused when seg_log_ is engaged.
-  std::map<std::string, std::vector<serial::Bytes>> records_;
-  std::optional<SegmentLog> seg_log_;
+  SegmentLog seg_log_{SegmentLogConfig{}};
   std::deque<QueueRecord> queue_;
   /// Volatile: record ids currently claimed by an execution slot.
   std::unordered_set<std::uint64_t> claimed_;

@@ -132,17 +132,10 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
     return;
   }
   if (c.remotes.empty()) {
-    if (group_window_ <= 1) {
-      commit_locals(tx);
-      stable_.sync();
-      finish(tx, c, true);
-      maybe_begin_checkpoint();
-      return;
-    }
     // Group commit: the outcome is decided (every local participant
     // prepared), but the stable-storage apply, the metered sync and the
     // callback wait for the window flush — several step transactions
-    // share one sync batch.
+    // share one sync batch (window 1 flushes right here).
     commit_queue_.emplace_back(tx, std::move(c.callback));
     coords_.erase(tx);
     if (commit_queue_.size() >= group_window_) {
@@ -224,12 +217,12 @@ void TxManager::flush_commit_group() {
 
 void TxManager::maybe_begin_checkpoint() {
   if (checkpoint_interval_bytes_ == 0) return;
-  auto* log = stable_.segment_log();
-  if (log == nullptr || log->checkpoint_in_progress()) return;
-  if (log->appended_bytes() - checkpoint_mark_ < checkpoint_interval_bytes_) {
+  const auto& log = stable_.segment_log();
+  if (log.checkpoint_in_progress()) return;
+  if (log.appended_bytes() - checkpoint_mark_ < checkpoint_interval_bytes_) {
     return;
   }
-  checkpoint_mark_ = log->appended_bytes();
+  checkpoint_mark_ = log.appended_bytes();
   if (!stable_.begin_checkpoint()) return;
   trace_pipeline("ckpt_begin", TxId(0));
   // The fuzzy window: commits keep flowing while the snapshot "writes".
@@ -254,25 +247,14 @@ void TxManager::schedule_group_flush() {
 }
 
 void TxManager::decide_commit(TxId tx, Coord& c) {
-  if (group_window_ > 1) {
-    // Pipelined coordinator: the decision is made but its durability
-    // record queues for the batched flush — many decisions, one sync.
-    // Until the flush nothing is persisted or applied, so a crash here
-    // resolves to presumed abort exactly like an undecided transaction.
-    c.phase = Phase::deciding;
-    decision_queue_.push_back(tx);
-    trace_pipeline("decided", tx);
-    schedule_decision_flush(decision_queue_.size() >= group_window_);
-    return;
-  }
-  persist_decision(tx, c.remotes);
-  commit_locals(tx);
-  stable_.sync();
-  ++stats_.coordinator_syncs;
-  c.phase = Phase::committing;
-  c.acks_pending = c.remotes;
-  for (const auto n : c.remotes) send(n, msg::commit, tx);
-  arm_commit_redrive(tx);
+  // The decision is made but its durability record queues for the batched
+  // flush — many decisions, one sync. Until the flush nothing is persisted
+  // or applied, so a crash here resolves to presumed abort exactly like an
+  // undecided transaction.
+  c.phase = Phase::deciding;
+  decision_queue_.push_back(tx);
+  trace_pipeline("decided", tx);
+  schedule_decision_flush(decision_queue_.size() >= group_window_);
 }
 
 void TxManager::arm_commit_redrive(TxId tx) {
@@ -382,64 +364,27 @@ void TxManager::note_remote_staged(TxId tx) {
 }
 
 void TxManager::handle_prepare(TxId tx, NodeId coordinator) {
-  if (group_window_ > 1) {
-    // Participant-side group commit: the prepare work (and its sync)
-    // waits for the batch flush; the vote leaves with it. Convoyed agent
-    // transfers arrive together, so their prepares share one barrier.
-    const auto queued = std::any_of(
-        prepare_queue_.begin(), prepare_queue_.end(),
-        [tx](const PendingPart& p) { return p.tx == tx; });
-    if (!queued) prepare_queue_.push_back(PendingPart{tx, coordinator});
-    if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
-      flush_participant_group();
-    } else {
-      schedule_participant_flush();
-    }
-    return;
-  }
-  bool any = false;
-  bool ok = true;
-  for (auto* p : participants_) {
-    if (!p->has_tx(tx)) continue;
-    any = true;
-    ok = p->prepare(tx) && ok;
-  }
-  if (!any) {
-    // Nothing staged: either this node crashed and lost the staged state,
-    // or the transaction already finished here. Vote NO; a duplicate
-    // PREPARE after commit cannot happen because the coordinator stops
-    // re-driving PREPARE once decided.
-    send(coordinator, msg::vote, tx, false);
-    return;
-  }
-  if (ok) {
-    persist_prepared_marker(tx);
-    stable_.sync();  // durable before the YES vote leaves this node
-    ++participant_syncs_;
-    in_doubt_.emplace(tx, coordinator);
-    schedule_inquiry(tx);
-  }
-  send(coordinator, msg::vote, tx, ok);
+  // Participant-side group commit: the prepare work (and its sync) waits
+  // for the batch flush; the vote leaves with it. Convoyed agent transfers
+  // arrive together, so their prepares share one barrier.
+  enqueue_participant_work(prepare_queue_, tx, coordinator);
 }
 
 void TxManager::handle_commit(TxId tx, NodeId coordinator) {
-  if (group_window_ > 1) {
-    const auto queued = std::any_of(
-        apply_queue_.begin(), apply_queue_.end(),
-        [tx](const PendingPart& p) { return p.tx == tx; });
-    if (!queued) apply_queue_.push_back(PendingPart{tx, coordinator});
-    if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
-      flush_participant_group();
-    } else {
-      schedule_participant_flush();
-    }
-    return;
+  enqueue_participant_work(apply_queue_, tx, coordinator);
+}
+
+void TxManager::enqueue_participant_work(std::vector<PendingPart>& queue,
+                                         TxId tx, NodeId coordinator) {
+  const auto queued =
+      std::any_of(queue.begin(), queue.end(),
+                  [tx](const PendingPart& p) { return p.tx == tx; });
+  if (!queued) queue.push_back(PendingPart{tx, coordinator});
+  if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
+    flush_participant_group();
+  } else {
+    schedule_participant_flush();
   }
-  commit_locals(tx);
-  stable_.sync();
-  ++participant_syncs_;
-  in_doubt_.erase(tx);
-  send(coordinator, msg::commit_ack, tx);
 }
 
 void TxManager::flush_participant_group() {
@@ -473,9 +418,11 @@ void TxManager::flush_participant_group() {
       any = true;
       ok = p->prepare(pnd.tx) && ok;
     }
-    // An abort that arrived while the prepare was queued cleared the
-    // staged state; the NO vote below resolves the transaction either
-    // way, exactly like the unbatched path.
+    // Nothing staged: this node crashed and lost the staged state, an
+    // abort arrived while the prepare was queued, or the transaction
+    // already finished here. The NO vote resolves it either way; a
+    // duplicate PREPARE after commit cannot happen because the
+    // coordinator stops re-driving PREPARE once decided.
     if (any && ok) {
       persist_prepared_marker(pnd.tx);
       durable_work = true;
@@ -580,7 +527,7 @@ void TxManager::on_message(const net::Message& m) {
     c.acks_pending.erase(m.from);
     if (c.acks_pending.empty()) {
       stable_.erase(decision_key(tx));
-      if (group_window_ > 1) trace_pipeline("acked", tx);
+      trace_pipeline("acked", tx);
       finish(tx, c, true);
     }
   } else if (t == msg::abort) {

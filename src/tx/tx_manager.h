@@ -41,12 +41,11 @@ namespace mar::tx {
 /// monitor thread mid-run).
 struct TxStats {
   /// Gauge: transactions this node coordinates that have begun but not
-  /// reached `done` (callback fired AND protocol forgotten). With the
-  /// pipelined coordinator this is the number of overlapping commits.
+  /// reached `done` (callback fired AND protocol forgotten): the number of
+  /// overlapping commits in the pipeline.
   RelaxedCounter inflight_tx;
-  /// Stable-storage syncs paid for coordinator decision durability. At
-  /// window <= 1 this is one per decided distributed commit; the pipelined
-  /// decision queue amortizes many decisions into one.
+  /// Stable-storage syncs paid for coordinator decision durability. The
+  /// decision queue amortizes every decision of one flush into one.
   RelaxedCounter coordinator_syncs;
   /// High-water mark of inflight_tx.
   RelaxedCounter pipeline_depth_max;
@@ -97,10 +96,9 @@ class TxManager {
   /// Abort a transaction this node coordinates.
   void abort_tx(TxId tx);
   /// Abort `tx` only if it is still collecting votes. Used by transfer
-  /// timeouts in the pipelined path, where the commit machinery runs
-  /// concurrently with the shipment: once a decision exists (or the
-  /// transaction is gone) the timeout is stale and must not fire the
-  /// callback a second time.
+  /// timeouts, since the commit machinery runs concurrently with the
+  /// shipment: once a decision exists (or the transaction is gone) the
+  /// timeout is stale and must not fire the callback a second time.
   void abort_if_preparing(TxId tx);
   /// Mark `node` as receiving its PREPARE piggybacked on the shipment
   /// frame itself (ship.convoy): commit_async must not send a separate
@@ -108,11 +106,6 @@ class TxManager {
   /// back to explicit PREPAREs, which a participant that never saw the
   /// convoy answers with NO (presumed abort + caller retry).
   void note_piggybacked(TxId tx, NodeId node);
-
-  /// True when the coordinator runs the pipelined commit path (window >
-  /// 1): decisions queue for a batched single-sync flush and PREPAREs
-  /// ride the convoy frames (one round trip per hop).
-  [[nodiscard]] bool pipelined() const { return group_window_ > 1; }
 
   // --- participant side -----------------------------------------------------
   /// Note that a remote coordinator staged state at this node (e.g. an
@@ -168,45 +161,45 @@ class TxManager {
     apply_listener_ = std::move(fn);
   }
 
-  /// Group commit (the MariaDB/TokuDB-style log batching, applied to the
-  /// one-phase local fast path): decided local-only commits enter a queue
-  /// that is flushed — participants applied, ONE metered sync, callbacks —
-  /// when `window` commits are pending or `flush_us` after the first one.
-  /// window <= 1 reproduces the sync-per-commit path bit for bit.
+  /// Group commit (the MariaDB/TokuDB-style log batching): decided
+  /// local-only commits enter a queue that is flushed — participants
+  /// applied, ONE metered sync, callbacks — when `window` commits are
+  /// pending or `flush_us` after the first one. Window 1 flushes at every
+  /// entry (one sync per commit).
   ///
-  /// A window > 1 additionally coalesces the PARTICIPANT side of 2PC:
-  /// incoming PREPAREs and COMMIT applies queue up and flush with a
-  /// shared sync each — votes and commit-acks leave only after the
-  /// batched barrier, so convoyed agent transfers towards one node pay
-  /// ~2 syncs per batch instead of 2 per transfer. A crash before the
-  /// flush loses the queued (volatile, unvoted) prepares, so their
-  /// coordinators read the silence as presumed abort — the same crash
-  /// atomicity the local commit queue has.
+  /// The same window coalesces the coordinator's decision records (see
+  /// Phase) and the PARTICIPANT side of 2PC: incoming PREPAREs and COMMIT
+  /// applies queue up and flush with a shared sync each — votes and
+  /// commit-acks leave only after the batched barrier, so convoyed agent
+  /// transfers towards one node pay ~2 syncs per batch instead of 2 per
+  /// transfer. A crash before the flush loses the queued (volatile,
+  /// unvoted) prepares, so their coordinators read the silence as
+  /// presumed abort — the same crash atomicity the local commit queue
+  /// has.
   void set_group_commit(std::uint32_t window, sim::TimeUs flush_us) {
     group_window_ = window;
     group_flush_us_ = flush_us;
   }
 
-  /// Fuzzy record-log checkpoints (segmented storage only): whenever a
-  /// group-commit flush observes >= `interval_bytes` of new record-log
-  /// writes since the last checkpoint, begin one — snapshot at the
-  /// current LSN without stalling the pipeline — and complete it
-  /// `write_us` later on an epoch-guarded timer, so a crash inside the
-  /// window simply abandons the attempt (the previous generation stays
-  /// valid). 0 disables.
+  /// Fuzzy record-log checkpoints: whenever a group-commit flush observes
+  /// >= `interval_bytes` of new record-log writes since the last
+  /// checkpoint, begin one — snapshot at the current LSN without stalling
+  /// the pipeline — and complete it `write_us` later on an epoch-guarded
+  /// timer, so a crash inside the window simply abandons the attempt (the
+  /// previous generation stays valid). 0 disables.
   void set_checkpoint(std::size_t interval_bytes, sim::TimeUs write_us) {
     checkpoint_interval_bytes_ = interval_bytes;
     checkpoint_write_us_ = write_us;
   }
 
  private:
-  /// Coordinator-side per-transaction state machine. The pipelined path
-  /// (window > 1) adds `deciding`: all votes are in, the decision record
-  /// sits in decision_queue_ awaiting the batched durability flush (ONE
-  /// sync for the whole batch), after which the transaction drains acks
-  /// in `committing`. The callback fires at ack drain, preserving the
-  /// caller-visible invariant that a finished transaction's effects are
-  /// applied at every participant.
+  /// Coordinator-side per-transaction state machine. In `deciding` all
+  /// votes are in and the decision record sits in decision_queue_
+  /// awaiting the batched durability flush (ONE sync for the whole
+  /// batch), after which the transaction drains acks in `committing`.
+  /// The callback fires at ack drain, preserving the caller-visible
+  /// invariant that a finished transaction's effects are applied at
+  /// every participant.
   ///
   ///   preparing --all votes--> deciding --flush--> committing --acks--> done
   ///       |                        \ (crash: nothing persisted ->
@@ -233,7 +226,7 @@ class TxManager {
   void flush_commit_group();
   void schedule_group_flush();
   /// Persist every queued commit decision, pay ONE metered sync, send the
-  /// COMMITs (pipelined coordinator; callbacks fire later, at ack drain).
+  /// COMMITs (callbacks fire later, at ack drain).
   void flush_decision_group();
   /// Arm the decision flush: `hot` schedules an immediate (same-instant)
   /// flush once the window filled — it still runs after every event
@@ -253,6 +246,14 @@ class TxManager {
   // Participant internals.
   void handle_prepare(TxId tx, NodeId coordinator);
   void handle_commit(TxId tx, NodeId coordinator);
+  struct PendingPart {
+    TxId tx;
+    NodeId coordinator;
+  };
+  /// Queue a prepare or commit apply (once per tx) and flush the
+  /// participant batch when the window is full.
+  void enqueue_participant_work(std::vector<PendingPart>& queue, TxId tx,
+                                NodeId coordinator);
   /// Run queued participant prepares and commit applies, pay one shared
   /// sync, then release the votes and acks.
   void flush_participant_group();
@@ -302,11 +303,11 @@ class TxManager {
   /// appended_bytes() watermark at the last checkpoint begin.
   std::uint64_t checkpoint_mark_ = 0;
 
-  /// Pipelined coordinator (window > 1): fully-voted distributed commits
-  /// whose decision records await the batched durability flush. Volatile —
-  /// a crash before the flush persisted nothing, so the prepared
-  /// participants resolve to presumed abort through their inquiries,
-  /// exactly as if the coordinator had never decided.
+  /// Fully-voted distributed commits whose decision records await the
+  /// batched durability flush. Volatile — a crash before the flush
+  /// persisted nothing, so the prepared participants resolve to presumed
+  /// abort through their inquiries, exactly as if the coordinator had
+  /// never decided.
   std::vector<TxId> decision_queue_;
   bool decision_flush_pending_ = false;  ///< dwell timer armed
   bool decision_flush_hot_ = false;      ///< same-instant flush armed
@@ -320,15 +321,11 @@ class TxManager {
   TxStats stats_;
   TraceSink* trace_ = nullptr;
 
-  /// Participant-side pending work awaiting the batched flush (window >
-  /// 1): PREPAREs not yet persisted/voted and COMMITs not yet
-  /// applied/acked. Volatile — a crash drops queued prepares unvoted
-  /// (presumed abort) and leaves queued commits to the coordinator's
-  /// COMMIT re-drive / the inquiry protocol.
-  struct PendingPart {
-    TxId tx;
-    NodeId coordinator;
-  };
+  /// Participant-side pending work awaiting the batched flush: PREPAREs
+  /// not yet persisted/voted and COMMITs not yet applied/acked. Volatile —
+  /// a crash drops queued prepares unvoted (presumed abort) and leaves
+  /// queued commits to the coordinator's COMMIT re-drive / the inquiry
+  /// protocol.
   std::vector<PendingPart> prepare_queue_;
   std::vector<PendingPart> apply_queue_;
   bool part_flush_pending_ = false;

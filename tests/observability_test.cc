@@ -234,6 +234,7 @@ TEST(TraceTest, ContendedFleetEmitsLockWaitSpansOnResumedHops) {
   // SAME span (not open a second root) and emit a lock_wait child.
   PlatformConfig cfg;
   cfg.node_concurrency = 4;
+  // Whole-instance locks make every pair of slots conflict.
   cfg.lock_granularity = resource::LockGranularity::instance;
   TestWorld w(cfg, /*node_count=*/1, /*seed=*/3);
   register_workload(w.platform);

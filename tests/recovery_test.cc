@@ -196,21 +196,6 @@ TEST(SegmentLogTest, CrashDuringCheckpointAbandonsTheAttempt) {
   EXPECT_EQ((*log.segments("k"))[0], bytes_of("v1"));
 }
 
-TEST(StableStorageTest, ClassicModeMetersFullReplayEnvelope) {
-  storage::StableStorage s;  // classic: no segmented log
-  s.record_reset("agentimg:1", bytes_of(std::string(100, 'b')));
-  s.record_append("agentimg:1", bytes_of(std::string(20, 'd')));
-  EXPECT_FALSE(s.segmented());
-  EXPECT_EQ(s.inject_storage_fault(StorageFault::torn_tail, 1),
-            StorageFault::none);
-  const auto report = s.recover_records();
-  // key (10) + base (100) + delta (20): the whole area is the envelope.
-  EXPECT_EQ(report.replayed_bytes, 130u);
-  EXPECT_EQ(report.segments_scanned, 1u);
-  EXPECT_EQ(s.stats().recovery_replayed_bytes.load(), 130u);
-  EXPECT_EQ(s.stats().recovery_segments.load(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Platform level: crashes + injected storage faults, exactly-once oracle
 // ---------------------------------------------------------------------------
@@ -225,7 +210,6 @@ struct RunOutcome {
 
 struct RunSpec {
   int steps = 24;
-  bool segmented = true;
   bool crash = false;
   StorageFault fault = StorageFault::none;
   std::uint32_t compaction_interval = 4;
@@ -238,7 +222,6 @@ RunOutcome run_workload(const RunSpec& spec) {
   cfg.incremental_commit = true;
   cfg.compaction_interval_steps = spec.compaction_interval;
   cfg.discard_log_on_top_level = false;
-  cfg.segmented_log = spec.segmented;
   cfg.segment_bytes = 2048;
   cfg.checkpoint_interval_bytes = spec.checkpoint_interval_bytes;
   cfg.storage_fault = spec.fault;
@@ -276,15 +259,16 @@ RunOutcome run_workload(const RunSpec& spec) {
   return out;
 }
 
-TEST(RecoveryPlatformTest, SegmentedMatchesClassicBitForBit) {
-  RunSpec seg;
-  RunSpec classic;
-  classic.segmented = false;
-  const auto a = run_workload(seg);
-  const auto b = run_workload(classic);
+TEST(RecoveryPlatformTest, CheckpointsOnMatchesOffBitForBit) {
+  RunSpec off;
+  RunSpec on;
+  on.checkpoint_interval_bytes = 256;
+  const auto a = run_workload(off);
+  const auto b = run_workload(on);
   ASSERT_TRUE(a.done);
   ASSERT_TRUE(b.done);
-  // The durable representation is invisible to execution semantics.
+  ASSERT_GT(b.checkpoints, 0u);
+  // Checkpointing is invisible to execution semantics.
   EXPECT_EQ(a.final_agent, b.final_agent);
   EXPECT_EQ(a.visits, 24);
 }

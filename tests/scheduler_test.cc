@@ -48,10 +48,10 @@ FleetRun run_fleet(std::uint32_t concurrency, const std::string& step,
                    int agents, int steps, std::uint64_t seed = 7) {
   agent::PlatformConfig cfg;
   cfg.node_concurrency = concurrency;
-  // These tests pin the classic execution envelope — exact serialized
-  // makespans and instance-lock conflicts — so the newer defaults
-  // (per-key locking, group-commit batching) are switched off here; they
-  // have their own suites (keylock_test, ship_test).
+  // These tests pin exact serialized makespans and use whole-instance
+  // lock conflicts as the contention signal, so they lock per instance
+  // and sync every commit (window 1); per-key locking and group-commit
+  // batching have their own suites (keylock_test, ship_test).
   cfg.lock_granularity = resource::LockGranularity::instance;
   cfg.group_commit_window = 1;
   TestWorld w(cfg, /*node_count=*/1, seed);

@@ -313,23 +313,33 @@ TEST(ShipTest, MidTransferCrashesStayExactlyOnceAndBitIdentical) {
 
 TEST(ShipTest, PipelinedCommitCrashesStayExactlyOnceAndBitIdentical) {
   // Same randomized kill schedule, with the full pipeline live: convoy
-  // window 4 carries piggybacked PREPAREs and the coordinator's decision
+  // frames carry piggybacked PREPAREs and the coordinator's decision
   // queue batches its syncs. Kills now land between decide and flush
   // (queued decisions presumed-abort) as well as mid-convoy; exactly-once
   // arrival and bit-identical reconstruction must survive regardless.
-  for (const std::uint64_t seed : {404u, 505u, 707u}) {
-    PlatformConfig delta_cfg;
-    delta_cfg.ship_convoy_window = 4;  // default group window 4: pipelined
-    PlatformConfig full_cfg = delta_cfg;
-    full_cfg.ship_delta = false;
-    const auto delta_run = run_ping_pong(delta_cfg, 8, 16, seed);
-    const auto full_run = run_ping_pong(full_cfg, 8, 16, seed);
-    ASSERT_TRUE(delta_run.done) << "seed " << seed;
-    ASSERT_TRUE(full_run.done) << "seed " << seed;
-    EXPECT_EQ(delta_run.visits, 24) << "seed " << seed;
-    EXPECT_EQ(full_run.visits, 24) << "seed " << seed;
-    EXPECT_EQ(delta_run.final_agent, full_run.final_agent)
-        << "seed " << seed;
+  // Window 1 runs the same protocol with a flush at every entry.
+  struct Windows {
+    std::uint32_t convoy;
+    std::uint32_t group;
+  };
+  for (const Windows win : {Windows{4, 4}, Windows{1, 1}}) {
+    for (const std::uint64_t seed : {404u, 505u, 707u}) {
+      PlatformConfig delta_cfg;
+      delta_cfg.ship_convoy_window = win.convoy;
+      delta_cfg.group_commit_window = win.group;
+      PlatformConfig full_cfg = delta_cfg;
+      full_cfg.ship_delta = false;
+      const auto delta_run = run_ping_pong(delta_cfg, 8, 16, seed);
+      const auto full_run = run_ping_pong(full_cfg, 8, 16, seed);
+      ASSERT_TRUE(delta_run.done) << "window " << win.group << " seed " << seed;
+      ASSERT_TRUE(full_run.done) << "window " << win.group << " seed " << seed;
+      EXPECT_EQ(delta_run.visits, 24)
+          << "window " << win.group << " seed " << seed;
+      EXPECT_EQ(full_run.visits, 24)
+          << "window " << win.group << " seed " << seed;
+      EXPECT_EQ(delta_run.final_agent, full_run.final_agent)
+          << "window " << win.group << " seed " << seed;
+    }
   }
 }
 

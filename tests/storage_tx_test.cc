@@ -126,8 +126,12 @@ TEST(StableStorageTest, RecordAreaMetersAppendsNotRewrites) {
   s.record_reset("k", serial::Bytes(1000, 0xAA));
   const auto after_base = s.stats().bytes_written;
   s.record_append("k", serial::Bytes(10, 0xBB));
-  // The append is metered at delta size, not record size.
-  EXPECT_EQ(s.stats().bytes_written, after_base + 10);
+  // The append is metered at delta size, not record size: exactly one log
+  // frame, crc32 (4) | len (4) | op (1) | key_len (4) | key | data.
+  constexpr std::size_t kFrameHeader = 4 + 4;
+  constexpr std::size_t kPayloadHeader = 1 + 4;
+  EXPECT_EQ(s.stats().bytes_written,
+            after_base + kFrameHeader + kPayloadHeader + 1 + 10);
   EXPECT_EQ(s.stats().record_resets, 1u);
   EXPECT_EQ(s.stats().record_appends, 1u);
 }
