@@ -59,6 +59,9 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
                             &st.recovery_segments);
   metrics_.register_counter("storage.checkpoints_completed",
                             &st.checkpoints_completed);
+  const auto& qs = qm_.stats();
+  metrics_.register_counter("queue.admissions", &qs.admissions);
+  metrics_.register_counter("queue.records_examined", &qs.records_examined);
   const auto& sh = ship_.stats();
   metrics_.register_counter("ship.convoys_sent", &sh.convoys_sent);
   metrics_.register_counter("ship.entries_sent", &sh.entries_sent);

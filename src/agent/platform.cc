@@ -1,7 +1,5 @@
 #include "agent/platform.h"
 
-#include <algorithm>
-
 #include "agent/node_runtime.h"
 #include "util/check.h"
 
@@ -195,9 +193,15 @@ bool Platform::run_until_finished(AgentId id) {
 }
 
 bool Platform::run_until_all_finished(std::span<const AgentId> ids) {
-  return sim_.run_while_pending([this, ids] {
-    return std::all_of(ids.begin(), ids.end(),
-                       [this](AgentId id) { return finished(id); });
+  // Amortized O(1) per event: the cursor skips the finished prefix; at the
+  // end every id is re-verified, as cancel_child can re-run a `done` child.
+  std::size_t cursor = 0;
+  return sim_.run_while_pending([this, ids, &cursor] {
+    while (cursor < ids.size() && finished(ids[cursor])) ++cursor;
+    if (cursor < ids.size()) return false;
+    cursor = 0;
+    while (cursor < ids.size() && finished(ids[cursor])) ++cursor;
+    return cursor == ids.size();
   });
 }
 

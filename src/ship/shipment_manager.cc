@@ -39,47 +39,42 @@ constexpr std::uint8_t kNeedFull = 1;
 // BaseCache
 // ---------------------------------------------------------------------------
 
-ShipmentManager::BaseEntry* ShipmentManager::BaseCache::find(
-    NodeId peer, AgentId agent) {
-  auto it = entries_.find(key_of(peer, agent));
-  if (it == entries_.end()) return nullptr;
-  it->second.tick = ++tick_;
-  return &it->second;
+BaseEntry* BaseCache::find(NodeId peer, AgentId agent) {
+  auto it = index_.find(key_of(peer, agent));
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.end(), lru_, it->second);
+  return &it->second->second;
 }
 
-void ShipmentManager::BaseCache::put(NodeId peer, AgentId agent,
-                                     serial::Bytes image,
-                                     std::uint64_t epoch, std::size_t budget,
-                                     std::shared_ptr<agent::Agent> decoded) {
+void BaseCache::put(NodeId peer, AgentId agent, serial::Bytes image,
+                    std::uint64_t epoch, std::size_t budget,
+                    std::shared_ptr<agent::Agent> decoded) {
   erase(peer, agent);
   if (image.size() > budget) return;  // would evict everything else anyway
-  BaseEntry e;
-  e.epoch = epoch;
-  e.hash = fnv1a(image);
-  e.tick = ++tick_;
-  e.decoded = std::move(decoded);
   total_ += image.size();
-  e.image = std::move(image);
-  entries_.emplace(key_of(peer, agent), std::move(e));
+  const std::uint64_t hash = fnv1a(image);
+  const Key key = key_of(peer, agent);
+  index_.emplace(key, lru_.emplace(lru_.end(), key,
+                                   BaseEntry{std::move(image), epoch, hash,
+                                             std::move(decoded)}));
   while (total_ > budget) {
-    auto lru = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.tick < lru->second.tick) lru = it;
-    }
-    total_ -= lru->second.image.size();
-    entries_.erase(lru);
+    total_ -= lru_.front().second.image.size();
+    index_.erase(lru_.front().first);
+    lru_.pop_front();
   }
 }
 
-void ShipmentManager::BaseCache::erase(NodeId peer, AgentId agent) {
-  auto it = entries_.find(key_of(peer, agent));
-  if (it == entries_.end()) return;
-  total_ -= it->second.image.size();
-  entries_.erase(it);
+void BaseCache::erase(NodeId peer, AgentId agent) {
+  auto it = index_.find(key_of(peer, agent));
+  if (it == index_.end()) return;
+  total_ -= it->second->second.image.size();
+  lru_.erase(it->second);
+  index_.erase(it);
 }
 
-void ShipmentManager::BaseCache::clear() {
-  entries_.clear();
+void BaseCache::clear() {
+  lru_.clear();
+  index_.clear();
   total_ = 0;
 }
 

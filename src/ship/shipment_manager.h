@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -68,6 +69,50 @@ struct ShipStats {
   RelaxedCounter wire_payload_bytes; ///< convoy payload bytes sent
 };
 
+/// One cached base image: the last full agent image that crossed a
+/// channel, plus the receiver epoch it is valid under and its content
+/// hash (both sides must agree on the exact bytes a delta applies to).
+/// `decoded` memoizes the image's decoded form so the per-hop diff
+/// (sender) / delta apply (receiver) skips re-decoding the base; it is
+/// an optimization slot only — `image` + `hash` stay authoritative.
+struct BaseEntry {
+  serial::Bytes image;
+  std::uint64_t epoch = 0;
+  std::uint64_t hash = 0;
+  std::shared_ptr<agent::Agent> decoded;
+};
+
+/// LRU pool of base images, bounded by ship_cache_bytes. One pool per
+/// direction side: send bases keyed by (dest, agent), receive bases
+/// keyed by (src, agent). Entries live in a recency list, least recently
+/// used first, so eviction pops its front instead of scanning the pool.
+class BaseCache {
+ public:
+  /// The cached entry, marked most recently used; nullptr when absent.
+  [[nodiscard]] BaseEntry* find(NodeId peer, AgentId agent);
+  /// Whether an entry is cached; leaves its recency untouched.
+  [[nodiscard]] bool contains(NodeId peer, AgentId agent) const {
+    return index_.contains(key_of(peer, agent));
+  }
+  /// `image` is taken by value: callers that are done with the buffer
+  /// (the acked sender) move it in instead of copying a full agent
+  /// image per hop.
+  void put(NodeId peer, AgentId agent, serial::Bytes image,
+           std::uint64_t epoch, std::size_t budget,
+           std::shared_ptr<agent::Agent> decoded = nullptr);
+  void erase(NodeId peer, AgentId agent);
+  void clear();
+
+ private:
+  using Key = std::pair<std::uint32_t, std::uint64_t>;
+  [[nodiscard]] static Key key_of(NodeId peer, AgentId agent) {
+    return {peer.value(), agent.value()};
+  }
+  std::list<std::pair<Key, BaseEntry>> lru_;  ///< least recent first
+  std::map<Key, decltype(lru_)::iterator> index_;
+  std::size_t total_ = 0;
+};
+
 class ShipmentManager {
  public:
   ShipmentManager(agent::Platform& platform, NodeId self, tx::TxManager& txm,
@@ -98,44 +143,6 @@ class ShipmentManager {
   [[nodiscard]] std::uint64_t channel_epoch() const { return epoch_tag_; }
 
  private:
-  /// One cached base image: the last full agent image that crossed the
-  /// channel, plus the receiver epoch it is valid under and its content
-  /// hash (both sides must agree on the exact bytes a delta applies to).
-  /// `decoded` memoizes the image's decoded form so the per-hop diff
-  /// (sender) / delta apply (receiver) skips re-decoding the base; it is
-  /// an optimization slot only — `image` + `hash` stay authoritative.
-  struct BaseEntry {
-    serial::Bytes image;
-    std::uint64_t epoch = 0;
-    std::uint64_t hash = 0;
-    std::uint64_t tick = 0;  ///< LRU recency
-    std::shared_ptr<agent::Agent> decoded;
-  };
-  /// LRU pool of base images, bounded by ship_cache_bytes. One pool per
-  /// direction side: send bases keyed by (dest, agent), receive bases
-  /// keyed by (src, agent).
-  class BaseCache {
-   public:
-    [[nodiscard]] BaseEntry* find(NodeId peer, AgentId agent);
-    /// `image` is taken by value: callers that are done with the buffer
-    /// (the acked sender) move it in instead of copying a full agent
-    /// image per hop.
-    void put(NodeId peer, AgentId agent, serial::Bytes image,
-             std::uint64_t epoch, std::size_t budget,
-             std::shared_ptr<agent::Agent> decoded = nullptr);
-    void erase(NodeId peer, AgentId agent);
-    void clear();
-
-   private:
-    using Key = std::pair<std::uint32_t, std::uint64_t>;
-    [[nodiscard]] static Key key_of(NodeId peer, AgentId agent) {
-      return {peer.value(), agent.value()};
-    }
-    std::map<Key, BaseEntry> entries_;
-    std::size_t total_ = 0;
-    std::uint64_t tick_ = 0;
-  };
-
   /// A shipment in flight: queued for its convoy or awaiting the ack. The
   /// full record is retained so a need_full reject can re-ship the image
   /// under the same transaction without involving the caller; the decoded

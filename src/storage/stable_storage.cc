@@ -1,6 +1,6 @@
 #include "storage/stable_storage.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -130,24 +130,18 @@ void StableStorage::enqueue(QueueRecord record) {
   if (!seen_records_.insert(record.record_id).second) return;  // duplicate
   stats_.bytes_written += record.byte_size();
   ++stats_.queue_ops;
-  queue_.push_back(std::move(record));
+  const auto id = record.record_id;
+  index_.emplace(id,
+                 QueueSlot{queue_.insert(queue_.end(), std::move(record))});
 }
 
 bool StableStorage::remove(std::uint64_t record_id) {
-  auto it = std::find_if(
-      queue_.begin(), queue_.end(),
-      [record_id](const QueueRecord& r) { return r.record_id == record_id; });
-  if (it == queue_.end()) return false;
+  auto it = index_.find(record_id);
+  if (it == index_.end()) return false;
   ++stats_.queue_ops;
-  queue_.erase(it);
-  claimed_.erase(record_id);
+  queue_.erase(it->second.pos);
+  index_.erase(it);
   return true;
-}
-
-bool StableStorage::contains_record(std::uint64_t record_id) const {
-  return std::any_of(
-      queue_.begin(), queue_.end(),
-      [record_id](const QueueRecord& r) { return r.record_id == record_id; });
 }
 
 const QueueRecord* StableStorage::front() const {
@@ -155,25 +149,27 @@ const QueueRecord* StableStorage::front() const {
 }
 
 const QueueRecord* StableStorage::find_record(std::uint64_t record_id) const {
-  auto it = std::find_if(
-      queue_.begin(), queue_.end(),
-      [record_id](const QueueRecord& r) { return r.record_id == record_id; });
-  return it == queue_.end() ? nullptr : &*it;
+  auto it = index_.find(record_id);
+  return it == index_.end() ? nullptr : &*it->second.pos;
 }
 
 bool StableStorage::claim(std::uint64_t record_id) {
-  if (!contains_record(record_id)) return false;
-  return claimed_.insert(record_id).second;
+  auto it = index_.find(record_id);
+  return it != index_.end() && !std::exchange(it->second.claimed, true);
 }
 
 void StableStorage::release_claim(std::uint64_t record_id) {
-  claimed_.erase(record_id);
+  auto it = index_.find(record_id);
+  if (it != index_.end()) it->second.claimed = false;
 }
 
 bool StableStorage::claimed(std::uint64_t record_id) const {
-  return claimed_.contains(record_id);
+  auto it = index_.find(record_id);
+  return it != index_.end() && it->second.claimed;
 }
 
-void StableStorage::clear_claims() { claimed_.clear(); }
+void StableStorage::clear_claims() {
+  for (auto& [id, slot] : index_) slot.claimed = false;
+}
 
 }  // namespace mar::storage

@@ -18,11 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -197,12 +198,16 @@ class StableStorage {
   }
 
   // --- agent input queue ---------------------------------------------------
+  // A FIFO list indexed by record id: enqueue, remove, lookup and the
+  // claim marks cost O(1) at any queue depth.
   /// Append a record. Duplicate record_ids are ignored (exactly-once).
   void enqueue(QueueRecord record);
   /// Remove the record with this id. Returns false if absent.
   bool remove(std::uint64_t record_id);
-  [[nodiscard]] bool contains_record(std::uint64_t record_id) const;
-  [[nodiscard]] const std::deque<QueueRecord>& queue() const { return queue_; }
+  [[nodiscard]] bool contains_record(std::uint64_t record_id) const {
+    return index_.contains(record_id);
+  }
+  [[nodiscard]] const std::list<QueueRecord>& queue() const { return queue_; }
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
   /// Oldest record, if any.
   [[nodiscard]] const QueueRecord* front() const;
@@ -228,9 +233,13 @@ class StableStorage {
  private:
   std::map<std::string, serial::Bytes> kv_;
   SegmentLog seg_log_{SegmentLogConfig{}};
-  std::deque<QueueRecord> queue_;
-  /// Volatile: record ids currently claimed by an execution slot.
-  std::unordered_set<std::uint64_t> claimed_;
+  std::list<QueueRecord> queue_;
+  /// Per queued record: its list position and volatile claim mark.
+  struct QueueSlot {
+    std::list<QueueRecord>::iterator pos;
+    bool claimed = false;
+  };
+  std::unordered_map<std::uint64_t, QueueSlot> index_;
   /// Ids ever enqueued; dedup must outlive removal so a duplicate commit
   /// of the same transfer cannot re-insert a consumed record.
   std::unordered_set<std::uint64_t> seen_records_;

@@ -77,50 +77,45 @@ void QueueManager::stage_record_erase(TxId tx, std::string key) {
 
 const storage::QueueRecord* QueueManager::next_eligible(
     const std::unordered_set<AgentId>& busy_agents) {
-  // Fast path: with no aging state every score is 0 and the first
-  // eligible record wins — return it without materializing candidates.
-  if (releases_.empty() && bypasses_.empty()) {
-    for (const auto& r : stable_.queue()) {
-      if (stable_.claimed(r.record_id)) continue;
-      if (busy_agents.contains(r.agent)) continue;
-      MAR_DCHECK_MSG(r.agent.valid(),
-                     "queued record " << r.record_id << " has no agent");
-      return &r;
-    }
-    return nullptr;
-  }
-  std::vector<const storage::QueueRecord*> eligible;
-  for (const auto& r : stable_.queue()) {
-    if (stable_.claimed(r.record_id)) continue;
-    if (busy_agents.contains(r.agent)) continue;
-    eligible.push_back(&r);
-  }
-  if (eligible.empty()) return nullptr;
-  // Aged admission: score = releases − bypasses, minimum wins, queue
-  // (FIFO) order breaks ties. With no aborts every score is 0 and the
-  // first eligible record wins — exactly the classic FIFO offer. A
-  // repeatedly conflict-aborted record accumulates releases and yields to
-  // fresher records behind it; every such bypass ages the passed-over
-  // record back towards admission, bounding how often it can be passed.
-  auto score_of = [this](std::uint64_t id) {
-    const auto rit = releases_.find(id);
-    const auto bit = bypasses_.find(id);
-    return static_cast<std::int64_t>(rit == releases_.end() ? 0 : rit->second) -
-           static_cast<std::int64_t>(bit == bypasses_.end() ? 0 : bit->second);
+  // Aged admission: score = releases − bypasses, minimum wins, FIFO order
+  // breaks ties; with no aborts every score is 0 — the classic FIFO
+  // offer. Scores start at 0 and a record is only bypassed while its
+  // score is strictly above the admitted record's, so none drops below 0
+  // and the first eligible zero-score record ends the scan.
+  auto eligible = [&](const storage::QueueRecord& r) {
+    return !stable_.claimed(r.record_id) && !busy_agents.contains(r.agent);
   };
-  const storage::QueueRecord* best = eligible.front();
-  std::int64_t best_score = score_of(best->record_id);
-  for (std::size_t i = 1; i < eligible.size(); ++i) {
-    const auto score = score_of(eligible[i]->record_id);
-    if (score < best_score) {
-      best = eligible[i];
+  const storage::QueueRecord* first = nullptr;
+  const storage::QueueRecord* best = nullptr;
+  std::uint32_t best_score = 0;
+  for (const auto& r : stable_.queue()) {
+    ++stats_.records_examined;
+    if (!eligible(r)) continue;
+    MAR_DCHECK_MSG(r.agent.valid(),
+                   "queued record " << r.record_id << " has no agent");
+    const auto it = score_.find(r.record_id);
+    const std::uint32_t score = it == score_.end() ? 0 : it->second;
+    if (first == nullptr) first = &r;
+    if (best == nullptr || score < best_score) {
+      best = &r;
       best_score = score;
+      if (score == 0) break;
     }
   }
-  for (const auto* r : eligible) {
-    if (r == best) break;
-    ++bypasses_[r->record_id];
+  if (best == nullptr) return nullptr;
+  // Age every eligible record the admitted one overtook.
+  if (best != first) {
+    for (const auto& r : stable_.queue()) {
+      if (&r == best) break;
+      ++stats_.records_examined;
+      if (!eligible(r)) continue;
+      const auto it = score_.find(r.record_id);
+      MAR_DCHECK_MSG(it != score_.end() && it->second > best_score,
+                     "bypassed record " << r.record_id << " scores below 0");
+      if (--it->second == 0) score_.erase(it);
+    }
   }
+  ++stats_.admissions;
   // An admitted record must still be offerable: queued and unclaimed —
   // the claim marks and the queue can only have diverged through a
   // bookkeeping bug, which would hand one record to two slots.
@@ -136,7 +131,7 @@ bool QueueManager::claim(std::uint64_t record_id) {
 void QueueManager::release(std::uint64_t record_id) {
   // Terminal paths release after a committed transaction consumed the
   // record; only an abort of a still-queued record counts for aging.
-  if (stable_.contains_record(record_id)) ++releases_[record_id];
+  if (stable_.contains_record(record_id)) ++score_[record_id];
   stable_.release_claim(record_id);
 }
 
@@ -168,8 +163,7 @@ void QueueManager::commit(TxId tx) {
   }
   for (const auto id : it->second.removes) {
     stable_.remove(id);
-    releases_.erase(id);
-    bypasses_.erase(id);
+    score_.erase(id);
   }
   // Record-area ops apply in staging order (a reset establishing a base
   // may be followed by the first delta append in the same transaction).
@@ -200,8 +194,7 @@ void QueueManager::on_crash() {
   // staging is reloaded from stable storage. Aging bookkeeping dies with
   // the runtime, like the claims it scores.
   staged_.clear();
-  releases_.clear();
-  bypasses_.clear();
+  score_.clear();
   stable_.for_each_with_prefix(
       "prep.queue:", [this](const std::string& key, const serial::Bytes& bytes) {
         const TxId tx(std::stoull(key.substr(11)));

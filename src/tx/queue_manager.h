@@ -17,9 +17,17 @@
 
 #include "storage/stable_storage.h"
 #include "tx/participant.h"
+#include "util/counters.h"
 #include "util/ids.h"
 
 namespace mar::tx {
+
+/// Admission work: records admitted and records visited by next_eligible
+/// scans — their ratio must stay a small constant at any queue depth.
+struct QueueStats {
+  RelaxedCounter admissions;
+  RelaxedCounter records_examined;
+};
 
 class QueueManager final : public Participant {
  public:
@@ -63,7 +71,8 @@ class QueueManager final : public Participant {
   /// aborts, but a record whose claims keep being released after lock
   /// conflicts no longer pins the queue head — records behind it are
   /// admitted, and each bypass ages the passed-over record back towards
-  /// the front, so nothing starves. Null when none is eligible.
+  /// the front, so nothing starves. The scan stops at the first eligible
+  /// zero-score record. Null when none is eligible.
   [[nodiscard]] const storage::QueueRecord* next_eligible(
       const std::unordered_set<AgentId>& busy_agents);
   /// Claim `record_id` for an execution slot. False if absent or taken.
@@ -72,6 +81,8 @@ class QueueManager final : public Participant {
   /// towards the record's admission score only while it is still queued
   /// (terminal paths release after the record was consumed).
   void release(std::uint64_t record_id);
+
+  [[nodiscard]] const QueueStats& stats() const { return stats_; }
 
   // Participant interface.
   [[nodiscard]] std::string name() const override { return "queue"; }
@@ -111,12 +122,11 @@ class QueueManager final : public Participant {
   storage::StableStorage& stable_;
   std::function<std::uint64_t()> now_fn_;
   std::map<TxId, Staged> staged_;
-  /// Aged-admission bookkeeping (volatile, like the claims): per record,
-  /// how often its claim was released after an abort, and how often a
-  /// younger record was admitted ahead of it. GC'd when the record is
-  /// consumed; cleared on crash.
-  std::unordered_map<std::uint64_t, std::uint32_t> releases_;
-  std::unordered_map<std::uint64_t, std::uint32_t> bypasses_;
+  /// Aged-admission scores (volatile, like the claims): claim releases
+  /// after an abort minus bypasses, positive scores only (erased at 0 or
+  /// when the record is consumed; cleared on crash).
+  std::unordered_map<std::uint64_t, std::uint32_t> score_;
+  QueueStats stats_;
 };
 
 }  // namespace mar::tx

@@ -75,11 +75,12 @@ class MasterAgent final : public agent::Agent {
   std::string type_name() const override { return "master"; }
 
   void configure(std::int64_t fanout, std::int64_t probe_nodes,
-                 bool rollback_after_join) {
+                 bool rollback_after_join, bool abandon_after_join) {
     auto& cfg = data().weak("cfg");
     cfg.set("fanout", fanout);
     cfg.set("probe_nodes", probe_nodes);
     cfg.set("rollback", rollback_after_join);
+    cfg.set("abandon", abandon_after_join);
   }
 
   void run_step(const std::string& step, StepContext& ctx) override {
@@ -117,6 +118,7 @@ class MasterAgent final : public agent::Agent {
       if (cfg.at("rollback").as_bool() && rollbacks_completed() == 0) {
         ctx.request_rollback_sub_itinerary();
       }
+      if (cfg.at("abandon").as_bool()) ctx.request_abandon_sub_itinerary();
     }
   }
 };
@@ -130,7 +132,7 @@ void register_agents(agent::Platform& platform) {
 std::unique_ptr<MasterAgent> master(int fanout, int probe_nodes,
                                     bool rollback) {
   auto agent = std::make_unique<MasterAgent>();
-  agent->configure(fanout, probe_nodes, rollback);
+  agent->configure(fanout, probe_nodes, rollback, false);
   Itinerary sub;
   sub.step("spawn", TestWorld::n(1));
   sub.step("join", TestWorld::n(1));
@@ -214,6 +216,47 @@ TEST(MultiAgentTest, ParentRollbackCompensatesFinishedChildren) {
   // a second generation that completed normally.
   EXPECT_EQ(cancelled, 2);
   EXPECT_EQ(w.platform.children_of(id.value()).size(), 4u);
+}
+
+TEST(MultiAgentTest, AllFinishedWaitsForAReinjectedChild) {
+  // A finished child can run again: the parent abandons its spawning
+  // sub-itinerary, compensating the spawn re-injects the `done` child,
+  // and the child rolls its probes back until it ends `cancelled`. The
+  // wait for {child, parent} starts with the child already finished and
+  // must not return while the re-injected child is still running.
+  TestWorld w(PlatformConfig{}, 5);
+  register_agents(w.platform);
+  auto master_agent = std::make_unique<MasterAgent>();
+  master_agent->configure(1, 3, false, /*abandon_after_join=*/true);
+  // The hop to node 5 lets the child's `done` outcome land before the
+  // parent decides to abandon.
+  Itinerary sub;
+  sub.step("spawn", TestWorld::n(1))
+      .step("join", TestWorld::n(1))
+      .step("hop", TestWorld::n(5))
+      .step("decide", TestWorld::n(5));
+  Itinerary main;
+  main.sub(std::move(sub));
+  master_agent->itinerary() = std::move(main);
+  auto launched = w.platform.launch(std::move(master_agent));
+  ASSERT_TRUE(launched.is_ok());
+  const AgentId parent = launched.value();
+  ASSERT_TRUE(w.sim.run_while_pending([&] {
+    const auto kids = w.platform.children_of(parent);
+    return !kids.empty() && w.platform.finished(kids.front());
+  }));
+  const AgentId child = w.platform.children_of(parent).front();
+  ASSERT_EQ(w.platform.outcome(child).state, AgentOutcome::State::done);
+  ASSERT_FALSE(w.platform.finished(parent));
+
+  const std::vector<AgentId> ids = {child, parent};
+  ASSERT_TRUE(w.platform.run_until_all_finished(ids));
+  EXPECT_EQ(w.platform.outcome(parent).state, AgentOutcome::State::done);
+  EXPECT_EQ(w.platform.outcome(child).state, AgentOutcome::State::cancelled);
+  // The parent finished first, while its re-injected child still ran.
+  EXPECT_LT(w.platform.outcome(parent).finished_at,
+            w.platform.outcome(child).finished_at);
+  EXPECT_EQ(probe_keys(w, 5), 0);
 }
 
 TEST(MultiAgentTest, CancelRequestRollsBackARunningAgent) {

@@ -42,6 +42,8 @@ struct FleetRun {
   std::uint64_t step_aborts = 0;
   bool interleaved = false;  ///< some step of agent 2 began before agent 1
                              ///< finished (and vice versa)
+  std::uint64_t admissions = 0;        ///< queue.admissions
+  std::uint64_t records_examined = 0;  ///< queue.records_examined
 };
 
 FleetRun run_fleet(std::uint32_t concurrency, const std::string& step,
@@ -80,6 +82,9 @@ FleetRun run_fleet(std::uint32_t concurrency, const std::string& step,
   }
   run.lock_conflicts = w.platform.lock_conflict_aborts();
   run.step_aborts = w.trace.count(TraceKind::step_abort);
+  const auto snap = w.platform.metrics_snapshot();
+  run.admissions = snap.scalars.at("queue.admissions");
+  run.records_examined = snap.scalars.at("queue.records_examined");
 
   // Interleaving evidence: between two step_begin events of one agent,
   // another agent's step_begin appears.
@@ -189,6 +194,25 @@ TEST(SchedulerTest, ConcurrencyOneReproducesSeedShapes) {
   ASSERT_TRUE(b.all_done);
   EXPECT_EQ(a.makespan_us, b.makespan_us);
   EXPECT_EQ(a.step_aborts, b.step_aborts);
+}
+
+TEST(SchedulerTest, AdmissionScanLengthIndependentOfFleetSize) {
+  // Scale gate as an exact work count: admitting a record visits a small
+  // constant number of queue records whether 256 or 4096 agents wait in
+  // the queue (only the records claimed by the 4 slots precede the pick).
+  auto scan_length = [](int agents) {
+    const auto run = run_fleet(4, "work", agents, 4);
+    EXPECT_TRUE(run.all_done);
+    EXPECT_EQ(run.lock_conflicts, 0u);
+    EXPECT_GE(run.admissions, static_cast<std::uint64_t>(agents) * 4u);
+    return static_cast<double>(run.records_examined) /
+           static_cast<double>(run.admissions);
+  };
+  const double small = scan_length(256);
+  const double large = scan_length(4096);
+  EXPECT_LE(small, 8.0);
+  EXPECT_LE(large, 8.0);
+  EXPECT_LE(large, small) << "records examined per admission grew with F";
 }
 
 TEST(ParallelWorldsTest, ReplicateSeedsAreDistinct) {

@@ -5,14 +5,17 @@
 // mid-transfer crashes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agent/agent.h"
 #include "harness/agents.h"
 #include "harness/world.h"
 #include "rollback/log.h"
+#include "ship/shipment_manager.h"
 #include "util/rng.h"
 
 namespace mar {
@@ -82,6 +85,105 @@ RunOutcome run_ping_pong(PlatformConfig cfg, int age, int hops,
     out.convoy_bytes = it->second;
   }
   return out;
+}
+
+// --------------------------------------------------------------------------
+// BaseCache (unit)
+// --------------------------------------------------------------------------
+
+/// Reference LRU with the min-tick rule: every entry carries the tick of
+/// its last put or find, and each eviction scans for the smallest tick.
+struct MinTickLru {
+  using Key = std::pair<std::uint32_t, std::uint64_t>;
+  struct Entry {
+    std::size_t bytes = 0;
+    std::uint64_t tick = 0;
+  };
+  std::map<Key, Entry> entries;
+  std::size_t total = 0;
+  std::uint64_t tick = 0;
+
+  bool find(const Key& k) {
+    auto it = entries.find(k);
+    if (it == entries.end()) return false;
+    it->second.tick = ++tick;
+    return true;
+  }
+  void erase(const Key& k) {
+    auto it = entries.find(k);
+    if (it == entries.end()) return;
+    total -= it->second.bytes;
+    entries.erase(it);
+  }
+  /// Returns the evicted keys in eviction order.
+  std::vector<Key> put(const Key& k, std::size_t bytes, std::size_t budget) {
+    erase(k);
+    if (bytes > budget) return {};
+    entries[k] = Entry{bytes, ++tick};
+    total += bytes;
+    std::vector<Key> evicted;
+    while (total > budget) {
+      auto lru = entries.begin();
+      for (auto it = entries.begin(); it != entries.end(); ++it) {
+        if (it->second.tick < lru->second.tick) lru = it;
+      }
+      evicted.push_back(lru->first);
+      total -= lru->second.bytes;
+      entries.erase(lru);
+    }
+    return evicted;
+  }
+};
+
+TEST(BaseCacheTest, EvictsTheSameKeysAsAMinTickScan) {
+  // Budget-constrained random put/find/erase sequences: after every
+  // operation the cache holds exactly the reference's keys, so every put
+  // evicted the same keys as the min-tick scan (one put evicting several
+  // keys takes them oldest first in both).
+  std::uint64_t evictions = 0;
+  std::uint64_t multi_evictions = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    ship::BaseCache cache;
+    MinTickLru ref;
+    const std::size_t budget = 1'500 + rng.next_below(3'000);
+    auto check_same_keys = [&] {
+      for (std::uint32_t peer = 1; peer <= 3; ++peer) {
+        for (std::uint64_t agent = 1; agent <= 12; ++agent) {
+          ASSERT_EQ(cache.contains(NodeId(peer), AgentId(agent)),
+                    ref.entries.contains({peer, agent}))
+              << "seed " << seed << " peer " << peer << " agent " << agent;
+        }
+      }
+    };
+    for (int op = 0; op < 400; ++op) {
+      const auto peer = static_cast<std::uint32_t>(1 + rng.next_below(3));
+      const std::uint64_t agent = 1 + rng.next_below(12);
+      const auto roll = rng.next_below(100);
+      if (roll < 55) {
+        const std::size_t bytes = 40 + rng.next_below(budget / 3);
+        cache.put(NodeId(peer), AgentId(agent),
+                  serial::Bytes(bytes, static_cast<std::uint8_t>(op)),
+                  /*epoch=*/1, budget);
+        const auto evicted = ref.put({peer, agent}, bytes, budget);
+        evictions += evicted.size();
+        multi_evictions += evicted.size() > 1 ? 1 : 0;
+      } else if (roll < 90) {
+        const auto* hit = cache.find(NodeId(peer), AgentId(agent));
+        ASSERT_EQ(hit != nullptr, ref.find({peer, agent})) << "seed " << seed;
+        if (hit != nullptr) {
+          EXPECT_EQ(hit->image.size(), ref.entries.at({peer, agent}).bytes);
+        }
+      } else {
+        cache.erase(NodeId(peer), AgentId(agent));
+        ref.erase({peer, agent});
+      }
+      check_same_keys();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(evictions, 20'000u);
+  EXPECT_GT(multi_evictions, 2'000u);
 }
 
 // --------------------------------------------------------------------------

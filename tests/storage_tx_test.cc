@@ -2,11 +2,17 @@
 // transaction manager (1PC fast path, 2PC, presumed abort, recovery).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "storage/stable_storage.h"
 #include "tx/queue_manager.h"
 #include "tx/tx_manager.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace mar {
@@ -204,6 +210,143 @@ TEST(QueueManagerTest, AgedAdmissionUnpinsAbortedHeadWithoutStarvingIt) {
   qm.commit(tx);
   qm.release(1);  // release_slot on the commit path: record already gone
   EXPECT_EQ(qm.next_eligible(busy)->record_id, 2u);
+}
+
+/// Differential oracle for aged admission: the original two-map rule.
+/// Separate release and bypass counts per record, a full queue scan that
+/// collects every eligible record, the first minimum of releases −
+/// bypasses wins, and every eligible record ahead of it gains a bypass.
+/// QueueManager restates this as one score with an early exit; both must
+/// admit the same record every time.
+struct ReferenceAdmission {
+  std::unordered_map<std::uint64_t, std::uint32_t> releases;
+  std::unordered_map<std::uint64_t, std::uint32_t> bypasses;
+  std::uint64_t overtakes = 0;  ///< admissions that passed a record over
+
+  const QueueRecord* next_eligible(const StableStorage& s,
+                                   const std::unordered_set<AgentId>& busy) {
+    std::vector<const QueueRecord*> eligible;
+    for (const auto& r : s.queue()) {
+      if (s.claimed(r.record_id)) continue;
+      if (busy.contains(r.agent)) continue;
+      eligible.push_back(&r);
+    }
+    if (eligible.empty()) return nullptr;
+    auto score_of = [this](std::uint64_t id) {
+      const auto rit = releases.find(id);
+      const auto bit = bypasses.find(id);
+      return static_cast<std::int64_t>(rit == releases.end() ? 0
+                                                             : rit->second) -
+             static_cast<std::int64_t>(bit == bypasses.end() ? 0
+                                                             : bit->second);
+    };
+    const QueueRecord* best = eligible.front();
+    std::int64_t best_score = score_of(best->record_id);
+    for (std::size_t i = 1; i < eligible.size(); ++i) {
+      const auto score = score_of(eligible[i]->record_id);
+      if (score < best_score) {
+        best = eligible[i];
+        best_score = score;
+      }
+    }
+    if (best != eligible.front()) ++overtakes;
+    for (const auto* r : eligible) {
+      if (r == best) break;
+      ++bypasses[r->record_id];
+    }
+    return best;
+  }
+  void release(const StableStorage& s, std::uint64_t id) {
+    if (s.contains_record(id)) ++releases[id];
+  }
+  void consumed(std::uint64_t id) {
+    releases.erase(id);
+    bypasses.erase(id);
+  }
+  void crash() {
+    releases.clear();
+    bypasses.clear();
+  }
+};
+
+TEST(QueueManagerTest, EarlyExitAdmissionMatchesFullScanReference) {
+  // Seeded random schedules of enqueue, admission + claim, release after
+  // abort, commit (remove + terminal release), busy-agent sets and
+  // crashes. The QueueManager and the reference share one storage (queue
+  // and claims) and keep their own aging state; every admission must
+  // name the same record.
+  constexpr int kSeeds = 3000;
+  constexpr int kOps = 120;
+  std::uint64_t admissions = 0;
+  std::uint64_t overtakes = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    StableStorage s;
+    tx::QueueManager qm(s);
+    ReferenceAdmission ref;
+    std::uint64_t next_id = 1;
+    std::uint64_t next_tx = 1;
+    const auto agents = 2 + rng.next_below(10);
+    std::vector<std::uint64_t> claimed;
+    std::unordered_set<AgentId> busy;
+    auto admit = [&] {
+      const auto* expected = ref.next_eligible(s, busy);
+      const auto* got = qm.next_eligible(busy);
+      ASSERT_EQ(expected == nullptr, got == nullptr) << "seed " << seed;
+      if (got == nullptr) return;
+      ASSERT_EQ(got->record_id, expected->record_id) << "seed " << seed;
+      ++admissions;
+      if (rng.next_bool(0.8)) {
+        ASSERT_TRUE(qm.claim(got->record_id));
+        claimed.push_back(got->record_id);
+      }
+    };
+    for (int op = 0; op < kOps; ++op) {
+      const auto roll = rng.next_below(100);
+      if (roll < 25) {
+        s.enqueue(record(next_id++, 1 + rng.next_below(agents)));
+      } else if (roll < 55) {
+        admit();
+        if (testing::Test::HasFatalFailure()) return;
+      } else if (roll < 75 && !claimed.empty()) {
+        // Abort: the claim is released while the record stays queued.
+        const auto i = rng.next_below(claimed.size());
+        const auto id = claimed[i];
+        claimed.erase(claimed.begin() + static_cast<std::ptrdiff_t>(i));
+        ref.release(s, id);
+        qm.release(id);
+      } else if (roll < 85 && !s.queue_empty()) {
+        // Commit consumes a record (claimed or not), then the terminal
+        // release of its slot must not count towards aging.
+        auto it = s.queue().begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.next_below(s.queue().size())));
+        const auto id = it->record_id;
+        const TxId tx(next_tx++);
+        qm.stage_remove(tx, id);
+        ASSERT_TRUE(qm.prepare(tx));
+        qm.commit(tx);
+        ref.consumed(id);
+        ref.release(s, id);
+        qm.release(id);
+        std::erase(claimed, id);
+      } else if (roll < 97) {
+        busy.clear();
+        for (std::uint64_t a = 1; a <= agents; ++a) {
+          if (rng.next_bool(0.2)) busy.insert(AgentId(a));
+        }
+      } else {
+        qm.on_crash();
+        s.clear_claims();
+        ref.crash();
+        claimed.clear();
+      }
+    }
+    overtakes += ref.overtakes;
+  }
+  // The schedules must actually exercise aging, not only the FIFO offer.
+  EXPECT_GT(admissions, 60'000u);
+  EXPECT_GT(overtakes, 10'000u);
 }
 
 TEST(QueueManagerTest, CommitAppliesStagedOps) {

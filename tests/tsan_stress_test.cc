@@ -175,6 +175,7 @@ TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
   auto ids = launch_fleet(w, 0x5eedULL);
 
   std::atomic<bool> done{false};
+  std::atomic<bool> sampling{false};
   std::uint64_t polls = 0;
   std::uint64_t last_bytes = 0;
   std::uint64_t last_events = 0;
@@ -212,9 +213,14 @@ TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
       last_coord_syncs = coord_syncs;
       last_depth_max = depth_max;
       ++polls;
+      sampling.store(true, std::memory_order_release);
       std::this_thread::yield();
     }
   });
+  // The world runs for a few milliseconds only: start it once the monitor
+  // is sampling, so a busy host cannot finish it before the monitor's
+  // thread is first scheduled.
+  while (!sampling.load(std::memory_order_acquire)) std::this_thread::yield();
 
   const bool finished = w.platform.run_until_all_finished(ids);
   done.store(true, std::memory_order_release);
