@@ -12,6 +12,7 @@
 
 #include "common.h"
 #include "harness/agents.h"
+#include "rollback/log.h"
 #include "serial/serializable.h"
 #include "serial/value.h"
 
@@ -54,6 +55,53 @@ void BM_DecodeAgent(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_DecodeAgent)->Arg(4)->Arg(64)->Arg(1024);
+
+// Delta-shipping hop, image level: the sender diffs its cached base
+// against the new image, the receiver splices the successor out of its
+// base and the delta. Between the two images one step ran: a weak slot
+// changed and the step's log entries were appended.
+struct ImageDeltaPair {
+  serial::Bytes base;
+  serial::Bytes cur;
+  serial::Bytes delta;
+};
+
+ImageDeltaPair make_image_delta_pair(std::int64_t blobs) {
+  auto agent = make_agent(blobs, 256);
+  ImageDeltaPair p;
+  p.base = agent::encode_agent(agent);
+  agent.data().weak("visits") = std::int64_t{1};
+  agent.log().push(rollback::BeginOfStepEntry{NodeId(2), "work"});
+  rollback::EndOfStepEntry eos;
+  eos.node = NodeId(2);
+  agent.log().push(std::move(eos));
+  p.cur = agent::encode_agent(agent);
+  p.delta = agent::encode_image_delta(p.base, p.cur).value();
+  return p;
+}
+
+void BM_ImageDeltaEncode(benchmark::State& state) {
+  const auto p = make_image_delta_pair(state.range(0));
+  for (auto _ : state) {
+    auto delta = agent::encode_image_delta(p.base, p.cur);
+    benchmark::DoNotOptimize(delta);
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(p.base.size() + p.cur.size()) *
+      state.iterations());
+}
+BENCHMARK(BM_ImageDeltaEncode)->Arg(4)->Arg(64)->Arg(1024);
+
+void BM_ImageDeltaApply(benchmark::State& state) {
+  const auto p = make_image_delta_pair(state.range(0));
+  for (auto _ : state) {
+    auto image = agent::apply_image_delta(p.base, p.delta);
+    benchmark::DoNotOptimize(image);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(p.cur.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_ImageDeltaApply)->Arg(4)->Arg(64)->Arg(1024);
 
 // The size-hint encode path: computing the exact wire size arithmetically
 // and pre-sizing the buffer turns a large-map encode into one allocation.

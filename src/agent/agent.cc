@@ -1,5 +1,7 @@
 #include "agent/agent.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace mar::agent {
@@ -133,28 +135,6 @@ namespace {
 constexpr std::uint8_t kSparseSlots = 0;
 constexpr std::uint8_t kFullMap = 1;
 
-/// The delta record's platform-field header (everything above the data
-/// sections), shared by both delta encoders so the wire format cannot
-/// drift between them; apply_agent_delta is the single decoder.
-/// `next_sp` is passed in because the helper is not a friend of Agent.
-void encode_delta_header(serial::Encoder& enc, const Agent& agent,
-                         std::uint32_t next_sp, bool sp_changed) {
-  enc.write_u8(static_cast<std::uint8_t>(agent.run_state()));
-  enc.write_varint(agent.position().size());
-  for (const auto i : agent.position()) enc.write_u32(i);
-  enc.write_varint(agent.savepoint_stack().size());
-  for (const auto& e : agent.savepoint_stack()) e.serialize(enc);
-  enc.write_u32(next_sp);
-  enc.write_u32(agent.rollbacks_completed());
-  enc.write_u64(agent.parent().value());
-  enc.write_u32(agent.result_node().value());
-  enc.write_string(agent.result_key());
-  enc.write_bool(agent.retain_full_log());
-  enc.write_bool(agent.force_full_savepoint());
-  enc.write_bool(sp_changed);
-  if (sp_changed) agent.last_savepoint_strong().serialize(enc);
-}
-
 void encode_data_section(serial::Encoder& enc, const serial::Value& map,
                          const std::set<std::string>& dirty, bool all_dirty) {
   if (all_dirty) {
@@ -179,7 +159,20 @@ serial::Bytes encode_agent_delta(const Agent& agent) {
   // Deltas are small by design; pre-sizing would run the dirty-slot walk
   // twice for a frame that rarely outgrows the first growth step.
   serial::Encoder enc;  // mar-lint: small-frame
-  encode_delta_header(enc, agent, agent.next_sp_, agent.last_sp_dirty_);
+  enc.write_u8(static_cast<std::uint8_t>(agent.run_state_));
+  enc.write_varint(agent.position_.size());
+  for (const auto i : agent.position_) enc.write_u32(i);
+  enc.write_varint(agent.sp_stack_.size());
+  for (const auto& e : agent.sp_stack_) e.serialize(enc);
+  enc.write_u32(agent.next_sp_);
+  enc.write_u32(agent.rollbacks_completed_);
+  enc.write_u64(agent.parent_.value());
+  enc.write_u32(agent.result_node_.value());
+  enc.write_string(agent.result_key_);
+  enc.write_bool(agent.retain_full_log_);
+  enc.write_bool(agent.force_full_sp_);
+  enc.write_bool(agent.last_sp_dirty_);
+  if (agent.last_sp_dirty_) agent.last_sp_strong_.serialize(enc);
   const auto& data = agent.data_;
   encode_data_section(enc, data.strong_image(), data.dirty_strong(),
                       data.strong_all_dirty());
@@ -243,58 +236,6 @@ void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta) {
   agent.mark_commit_baseline();  // now bit-identical to the durable state
 }
 
-std::optional<serial::Bytes> encode_agent_delta_between(const Agent& base,
-                                                        const Agent& cur) {
-  // The delta format carries appended log entries only: usable iff the
-  // base's log is a strict prefix of the current log. Forward execution
-  // only pushes, so this holds across any number of committed steps; a
-  // rollback (pop/clear/GC) in between breaks it and forces a full image.
-  const auto& base_log = base.log_.entries();
-  const auto& cur_log = cur.log_.entries();
-  if (cur_log.size() < base_log.size()) return std::nullopt;
-  for (std::size_t i = 0; i < base_log.size(); ++i) {
-    if (!(base_log[i] == cur_log[i])) return std::nullopt;
-  }
-  // The itinerary is immutable after launch and lives in the base image
-  // only; everything else is diffed or carried whole.
-  serial::Encoder enc;  // mar-lint: small-frame
-  encode_delta_header(enc, cur, cur.next_sp_,
-                      !(base.last_sp_strong_ == cur.last_sp_strong_));
-  // Data sections: sparse slots that differ from the base; a slot removed
-  // from the base degrades the section to a full map (the sparse form can
-  // only add/overwrite).
-  const auto encode_diff_section = [&enc](const Value& base_map,
-                                          const Value& cur_map) {
-    for (const auto& [name, v] : base_map.as_map()) {
-      (void)v;
-      if (!cur_map.has(name)) {
-        enc.write_u8(kFullMap);
-        cur_map.serialize(enc);
-        return;
-      }
-    }
-    std::vector<const std::string*> changed;
-    for (const auto& [name, v] : cur_map.as_map()) {
-      if (!base_map.has(name) || !(base_map.at(name) == v)) {
-        changed.push_back(&name);
-      }
-    }
-    enc.write_u8(kSparseSlots);
-    enc.write_varint(changed.size());
-    for (const auto* name : changed) {
-      enc.write_string(*name);
-      cur_map.at(*name).serialize(enc);
-    }
-  };
-  encode_diff_section(base.data_.strong_image(), cur.data_.strong_image());
-  encode_diff_section(base.data_.weak_image(), cur.data_.weak_image());
-  enc.write_varint(cur_log.size() - base_log.size());
-  for (std::size_t i = base_log.size(); i < cur_log.size(); ++i) {
-    cur_log[i].serialize(enc);
-  }
-  return std::move(enc).take();
-}
-
 std::unique_ptr<Agent> decode_agent_segments(
     const AgentTypeRegistry& registry,
     const std::vector<serial::Bytes>& segments) {
@@ -304,6 +245,277 @@ std::unique_ptr<Agent> decode_agent_segments(
     apply_agent_delta(*agent, segments[i]);
   }
   return agent;
+}
+
+// ---------------------------------------------------------------------------
+// Image-level deltas
+// ---------------------------------------------------------------------------
+//
+// encode_image_delta writes the delta record format above from two encoded
+// images; apply_image_delta splices the successor image out of base and
+// delta slices. The canonical encoding makes byte equality of a section
+// equality of its content, so no Value is ever built: the only parsing is
+// bounds-checked skipping to find slice boundaries.
+
+namespace {
+
+constexpr auto kMapTag = static_cast<std::uint8_t>(serial::Value::Kind::map);
+
+using ByteSpan = std::span<const std::uint8_t>;
+
+/// The bytes `skip` advances `dec` over, as a slice of `buf` (the buffer
+/// `dec` reads).
+template <typename Skip>
+ByteSpan slice(serial::Decoder& dec, ByteSpan buf, Skip&& skip) {
+  const auto begin = dec.offset();
+  skip();
+  return buf.subspan(begin, dec.offset() - begin);
+}
+
+/// Advance past the position ... force_full_sp fields, laid out
+/// identically in an image and in a delta record.
+void skip_platform_fields(serial::Decoder& dec) {
+  dec.skip(4 * dec.read_count());  // position
+  dec.skip(SavepointStackEntry::byte_size() * dec.read_count());
+  dec.skip(4 + 4 + 8 + 4);  // next_sp, rollbacks, parent, result_node
+  (void)dec.read_bytes_view();  // result_key
+  (void)dec.read_bool();        // retain_full_log
+  (void)dec.read_bool();        // force_full_sp
+}
+
+bool same_bytes(ByteSpan a, ByteSpan b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+/// One encoded top-level data slot: its name and the (name, Value) pair
+/// exactly as a map and a sparse delta section both encode it.
+struct Slot {
+  std::string_view name;
+  ByteSpan value;
+  ByteSpan pair;
+};
+
+/// Read `n` (name, Value) pairs from `dec` (reading `buf`).
+void read_slots(serial::Decoder& dec, ByteSpan buf, std::uint64_t n,
+                std::vector<Slot>& out) {
+  out.reserve(out.size() + n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto begin = dec.offset();
+    const auto name = dec.read_string_view();
+    const auto value = slice(dec, buf, [&] { serial::skip_value(dec); });
+    out.push_back({name, value, buf.subspan(begin, dec.offset() - begin)});
+  }
+}
+
+/// The slots of an encoded map Value (scan_agent_image checked the tag).
+/// Canonical maps list them in std::string key order.
+std::vector<Slot> map_slots(ByteSpan map) {
+  serial::Decoder dec(map);
+  (void)dec.read_u8();
+  std::vector<Slot> slots;
+  read_slots(dec, map, dec.read_count(), slots);
+  return slots;
+}
+
+/// A data section about to be written: one encoded Value carried whole
+/// (never empty: a Value has at least its tag byte), or slot pairs.
+struct Section {
+  ByteSpan whole;
+  std::vector<ByteSpan> slots;
+  [[nodiscard]] bool is_whole() const { return !whole.empty(); }
+  [[nodiscard]] std::size_t slot_bytes() const {
+    std::size_t n = serial::varint_size(slots.size());
+    for (const auto s : slots) n += s.size();
+    return n;
+  }
+  void write_slots(serial::Encoder& enc) const {
+    enc.write_varint(slots.size());
+    for (const auto s : slots) enc.write_raw(s);
+  }
+};
+
+/// Delta section for `base` -> `cur` (encoded maps), by a merge-join over
+/// their key-ordered slots: the whole `cur` map when a base slot vanished
+/// (the sparse form can only add and overwrite), else the slots that are
+/// new or whose bytes changed.
+Section diff_section(ByteSpan base, ByteSpan cur) {
+  const auto b = map_slots(base);
+  const auto c = map_slots(cur);
+  Section out;
+  std::size_t j = 0;
+  for (const auto& slot : b) {
+    while (j < c.size() && c[j].name < slot.name) {
+      out.slots.push_back(c[j++].pair);
+    }
+    if (j == c.size() || c[j].name != slot.name) return Section{cur, {}};
+    if (!same_bytes(slot.value, c[j].value)) out.slots.push_back(c[j].pair);
+    ++j;
+  }
+  for (; j < c.size(); ++j) out.slots.push_back(c[j].pair);
+  return out;
+}
+
+/// Image section for a delta's data section applied to `base` (an encoded
+/// map). Sparse slots overwrite or add in key order; a repeated name keeps
+/// its last occurrence, as apply_agent_delta's in-order sets would.
+Section apply_section(serial::Decoder& dec, ByteSpan delta, ByteSpan base) {
+  const auto mode = dec.read_u8();
+  if (mode == kFullMap) {
+    return Section{slice(dec, delta, [&] { serial::skip_value(dec); }), {}};
+  }
+  if (mode != kSparseSlots) {
+    throw serial::DecodeError("bad delta data-section mode");
+  }
+  std::vector<Slot> updates;
+  read_slots(dec, delta, dec.read_count(), updates);
+  if (updates.empty()) return Section{base, {}};
+  std::stable_sort(
+      updates.begin(), updates.end(),
+      [](const Slot& x, const Slot& y) { return x.name < y.name; });
+  const auto slots = map_slots(base);
+  Section out;
+  out.slots.reserve(slots.size() + updates.size());
+  std::size_t i = 0;
+  for (std::size_t u = 0; u < updates.size(); ++u) {
+    if (u + 1 < updates.size() && updates[u + 1].name == updates[u].name) {
+      continue;  // a later write of the same slot wins
+    }
+    while (i < slots.size() && slots[i].name < updates[u].name) {
+      out.slots.push_back(slots[i++].pair);
+    }
+    if (i < slots.size() && slots[i].name == updates[u].name) ++i;
+    out.slots.push_back(updates[u].pair);
+  }
+  for (; i < slots.size(); ++i) out.slots.push_back(slots[i].pair);
+  return out;
+}
+
+}  // namespace
+
+AgentImage scan_agent_image(std::span<const std::uint8_t> image) {
+  serial::Decoder dec(image);
+  AgentImage a;
+  a.head = slice(dec, image, [&] {
+    (void)dec.read_bytes_view();  // type name
+    dec.skip(8);                  // id
+  });
+  a.run_state = dec.read_u8();
+  a.strong = slice(dec, image, [&] { serial::skip_value(dec); });
+  a.weak = slice(dec, image, [&] { serial::skip_value(dec); });
+  if (a.strong.front() != kMapTag || a.weak.front() != kMapTag) {
+    throw serial::DecodeError("agent data section is not a map");
+  }
+  a.itinerary = slice(dec, image, [&] { Itinerary::skip(dec); });
+  a.fields = slice(dec, image, [&] { skip_platform_fields(dec); });
+  a.last_sp_strong = slice(dec, image, [&] { serial::skip_value(dec); });
+  a.log_count = dec.read_count();
+  a.log_entries = image.subspan(dec.offset());
+  return a;
+}
+
+std::optional<serial::Bytes> encode_image_delta(
+    std::span<const std::uint8_t> base_image,
+    std::span<const std::uint8_t> cur_image) {
+  const auto base = scan_agent_image(base_image);
+  const auto cur = scan_agent_image(cur_image);
+  // The delta format carries appended log entries only: usable iff the
+  // base's log is a prefix of the current log. Entries are self-delimiting,
+  // so one comparison of the base's entry bytes decides it. Forward
+  // execution only pushes; a rollback (pop/clear/GC) in between breaks it
+  // and forces a full image.
+  const auto prefix = base.log_entries;
+  if (cur.log_count < base.log_count ||
+      cur.log_entries.size() < prefix.size() ||
+      !std::equal(prefix.begin(), prefix.end(), cur.log_entries.begin())) {
+    return std::nullopt;
+  }
+  const auto appended = cur.log_entries.subspan(prefix.size());
+  const bool sp_changed = !same_bytes(base.last_sp_strong, cur.last_sp_strong);
+  // The itinerary is immutable after launch and lives in the base image
+  // only; everything else is diffed or carried whole.
+  const Section sections[] = {diff_section(base.strong, cur.strong),
+                              diff_section(base.weak, cur.weak)};
+  std::size_t size = 1 + cur.fields.size() + 1 +
+                     (sp_changed ? cur.last_sp_strong.size() : 0) +
+                     serial::varint_size(cur.log_count - base.log_count) +
+                     appended.size();
+  for (const auto& s : sections) {
+    size += 1 + (s.is_whole() ? s.whole.size() : s.slot_bytes());
+  }
+  serial::Encoder enc(size);
+  enc.write_u8(cur.run_state);
+  enc.write_raw(cur.fields);
+  enc.write_bool(sp_changed);
+  if (sp_changed) enc.write_raw(cur.last_sp_strong);
+  for (const auto& s : sections) {
+    if (s.is_whole()) {
+      enc.write_u8(kFullMap);
+      enc.write_raw(s.whole);
+    } else {
+      enc.write_u8(kSparseSlots);
+      s.write_slots(enc);
+    }
+  }
+  enc.write_varint(cur.log_count - base.log_count);
+  enc.write_raw(appended);
+  return std::move(enc).take();
+}
+
+serial::Bytes apply_image_delta(std::span<const std::uint8_t> base_image,
+                                std::span<const std::uint8_t> delta) {
+  const auto base = scan_agent_image(base_image);
+  serial::Decoder dec(delta);
+  const auto run_state = dec.read_u8();
+  const auto fields = slice(dec, delta, [&] { skip_platform_fields(dec); });
+  auto last_sp_strong = base.last_sp_strong;
+  if (dec.read_bool()) {
+    last_sp_strong = slice(dec, delta, [&] { serial::skip_value(dec); });
+  }
+  const Section sections[] = {apply_section(dec, delta, base.strong),
+                              apply_section(dec, delta, base.weak)};
+  const auto appended = dec.read_count();
+  // The appended entries are decoded once to validate them: they are
+  // the delta's only part that is not a slice of a scanned section.
+  const auto entries = slice(dec, delta, [&] {
+    rollback::LogEntry e;
+    for (std::uint64_t i = 0; i < appended; ++i) e.deserialize(dec);
+  });
+  dec.expect_end();
+
+  const auto log_count = base.log_count + appended;
+  std::size_t size = base.head.size() + 1 + base.itinerary.size() +
+                     fields.size() + last_sp_strong.size() +
+                     serial::varint_size(log_count) +
+                     base.log_entries.size() + entries.size();
+  for (const auto& s : sections) {
+    size += s.is_whole() ? s.whole.size() : 1 + s.slot_bytes();
+  }
+  serial::Encoder enc(size);
+  enc.write_raw(base.head);
+  enc.write_u8(run_state);
+  for (const auto& s : sections) {
+    if (s.is_whole()) {
+      enc.write_raw(s.whole);
+    } else {
+      enc.write_u8(kMapTag);
+      s.write_slots(enc);
+    }
+  }
+  enc.write_raw(base.itinerary);
+  enc.write_raw(fields);
+  enc.write_raw(last_sp_strong);
+  enc.write_varint(log_count);
+  enc.write_raw(base.log_entries);
+  enc.write_raw(entries);
+  return std::move(enc).take();
+}
+
+serial::Bytes apply_image_delta_by_decode(
+    const AgentTypeRegistry& registry, std::span<const std::uint8_t> base,
+    std::span<const std::uint8_t> delta) {
+  auto agent = decode_agent(registry, base);
+  apply_agent_delta(*agent, delta);
+  return encode_agent(*agent);
 }
 
 }  // namespace mar::agent

@@ -178,8 +178,6 @@ class Agent : public serial::Serializable {
   friend serial::Bytes encode_agent_delta(const Agent& agent);
   friend void apply_agent_delta(Agent& agent,
                                 std::span<const std::uint8_t> delta);
-  friend std::optional<serial::Bytes> encode_agent_delta_between(
-      const Agent& base, const Agent& cur);
 };
 
 /// Registry of agent types shared by all nodes (code availability).
@@ -206,14 +204,6 @@ using AgentTypeRegistry = serial::TypeRegistry<Agent>;
 
 /// Capture the changes since the last baseline as a delta record.
 [[nodiscard]] serial::Bytes encode_agent_delta(const Agent& agent);
-/// Diff two captures of the SAME agent (delta-shipping migrations): a
-/// delta in the apply_agent_delta format transforming `base` into `cur`,
-/// or nullopt when `cur`'s rollback log does not extend `base`'s (a
-/// rollback ran in between) — the caller ships a full image instead.
-/// Unlike encode_agent_delta this needs no dirty tracking: the data
-/// sections are diffed slot by slot against the base.
-[[nodiscard]] std::optional<serial::Bytes> encode_agent_delta_between(
-    const Agent& base, const Agent& cur);
 /// Apply a delta produced by encode_agent_delta to the predecessor state.
 void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta);
 /// Reconstruct an agent from its stable record: segments[0] is a full
@@ -221,5 +211,47 @@ void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta);
 [[nodiscard]] std::unique_ptr<Agent> decode_agent_segments(
     const AgentTypeRegistry& registry,
     const std::vector<serial::Bytes>& segments);
+
+// --- image-level deltas (delta-shipping migrations) -------------------------
+// The ship layer diffs and patches ENCODED images: it never builds an
+// Agent. The functions below find section boundaries with bounds-checked
+// skips and move encoded slices; every one throws serial::DecodeError on
+// malformed input.
+
+/// Byte layout of an encoded agent image (encode_agent format). Every span
+/// aliases the scanned buffer.
+struct AgentImage {
+  std::span<const std::uint8_t> head;  ///< type name + agent id
+  std::uint8_t run_state = 0;
+  std::span<const std::uint8_t> strong;     ///< strong-slot map Value
+  std::span<const std::uint8_t> weak;       ///< weak-slot map Value
+  std::span<const std::uint8_t> itinerary;  ///< immutable after launch
+  /// position, savepoint stack, next_sp ... force_full_sp: the platform
+  /// fields a delta carries verbatim, contiguous in both formats.
+  std::span<const std::uint8_t> fields;
+  std::span<const std::uint8_t> last_sp_strong;  ///< Value
+  std::uint64_t log_count = 0;
+  /// The log entries, back to back: the image's tail.
+  std::span<const std::uint8_t> log_entries;
+};
+/// Find the sections of `image`. The data sections must be maps; the log
+/// entries are sliced, not walked.
+[[nodiscard]] AgentImage scan_agent_image(std::span<const std::uint8_t> image);
+/// Diff two images of the SAME agent: a delta in the apply_agent_delta
+/// format transforming `base` into `cur`, or nullopt when `cur`'s rollback
+/// log does not extend `base`'s (a rollback ran in between) — the caller
+/// ships a full image instead. Data sections are diffed slot by slot,
+/// comparing encoded bytes.
+[[nodiscard]] std::optional<serial::Bytes> encode_image_delta(
+    std::span<const std::uint8_t> base, std::span<const std::uint8_t> cur);
+/// Splice the image `delta` turns `base` into. Equals
+/// apply_image_delta_by_decode(registry, base, delta) byte for byte.
+[[nodiscard]] serial::Bytes apply_image_delta(
+    std::span<const std::uint8_t> base, std::span<const std::uint8_t> delta);
+/// The object-level reference for apply_image_delta: decode `base`, apply
+/// `delta` to the agent, re-encode. For cross-checks, not hot paths.
+[[nodiscard]] serial::Bytes apply_image_delta_by_decode(
+    const AgentTypeRegistry& registry, std::span<const std::uint8_t> base,
+    std::span<const std::uint8_t> delta);
 
 }  // namespace mar::agent

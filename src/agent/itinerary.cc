@@ -227,6 +227,31 @@ void Itinerary::deserialize(serial::Decoder& dec) {
   for (auto& e : entries_) e.deserialize(dec);
 }
 
+void Itinerary::skip(serial::Decoder& dec) {
+  const auto entries = dec.read_count();
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    const auto tag = dec.read_u8();
+    if (tag == 0) {  // step: method, locations, optional condition
+      (void)dec.read_bytes_view();
+      dec.skip(4 * dec.read_count());
+      if (dec.read_bool()) {
+        (void)dec.read_bytes_view();
+        (void)dec.read_u8();
+        serial::skip_value(dec);
+      }
+    } else if (tag == 1) {  // sub: vital, nested itinerary
+      (void)dec.read_bool();
+      skip(dec);
+    } else if (tag == 2) {  // alternatives: vital, options
+      (void)dec.read_bool();
+      const auto options = dec.read_count();
+      for (std::uint64_t o = 0; o < options; ++o) skip(dec);
+    } else {
+      throw serial::DecodeError("bad itinerary entry tag");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Navigation
 // ---------------------------------------------------------------------------

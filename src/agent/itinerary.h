@@ -126,6 +126,9 @@ class Itinerary {
   void deserialize(serial::Decoder& dec);
   /// Exact wire size of serialize() (pre-sizing full agent images).
   [[nodiscard]] std::size_t encoded_size() const;
+  /// Advance past one encoded itinerary without building it; throws
+  /// DecodeError wherever deserialize() would.
+  static void skip(serial::Decoder& dec);
 
   // --- navigation ------------------------------------------------------------
   /// Position of the first step in DFS order, if any. Alternatives open

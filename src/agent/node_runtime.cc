@@ -71,6 +71,8 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   metrics_.register_counter("ship.need_full_retries", &sh.need_full_retries);
   metrics_.register_counter("ship.wire_payload_bytes",
                             &sh.wire_payload_bytes);
+  metrics_.register_gauge("ship.cache_bytes",
+                          [this] { return ship_.cache_bytes(); });
   const auto& tx = txm_.stats();
   metrics_.register_counter("tx.inflight_tx", &tx.inflight_tx);
   metrics_.register_counter("tx.coordinator_syncs", &tx.coordinator_syncs);

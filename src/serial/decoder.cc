@@ -5,7 +5,9 @@
 namespace mar::serial {
 
 void Decoder::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) {
+  // Compared against the remainder: `pos_ + n` could wrap for a flipped
+  // 10-byte length varint and pass the check.
+  if (n > data_.size() - pos_) {
     throw DecodeError("decode past end of buffer (need " + std::to_string(n) +
                       ", have " + std::to_string(data_.size() - pos_) + ")");
   }
@@ -100,6 +102,11 @@ std::uint64_t Decoder::read_count() {
                       std::to_string(remaining()) + " bytes)");
   }
   return n;
+}
+
+void Decoder::skip(std::size_t n) {
+  need(n);
+  pos_ += n;
 }
 
 void Decoder::expect_end() const {

@@ -49,7 +49,12 @@ class Decoder {
   /// checked HERE, before the caller sizes a container from it (a flipped
   /// length byte must not trigger a gigantic allocation).
   std::uint64_t read_count();
+  /// Advance past `n` bytes without reading them (bounds-checked).
+  void skip(std::size_t n);
 
+  /// Bytes consumed so far: the offset of the next read. Skip routines use
+  /// it to slice encoded sections out of the buffer without decoding them.
+  [[nodiscard]] std::size_t offset() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 

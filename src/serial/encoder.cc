@@ -54,4 +54,8 @@ void Encoder::write_bytes(std::span<const std::uint8_t> b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
+void Encoder::write_raw(std::span<const std::uint8_t> b) {
+  buf_.insert(buf_.end(), b.begin(), b.end());
+}
+
 }  // namespace mar::serial

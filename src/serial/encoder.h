@@ -77,6 +77,9 @@ class Encoder {
   /// Varint length followed by raw bytes.
   void write_string(std::string_view s);
   void write_bytes(std::span<const std::uint8_t> b);
+  /// Raw bytes, no length prefix: splices an already-encoded section
+  /// (a Value, a map slot, log entries) into the frame verbatim.
+  void write_raw(std::span<const std::uint8_t> b);
 
   [[nodiscard]] const Bytes& buffer() const { return buf_; }
   [[nodiscard]] Bytes take() && { return std::move(buf_); }

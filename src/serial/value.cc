@@ -214,6 +214,41 @@ void Value::deserialize(Decoder& dec) {
   }
 }
 
+void skip_value(Decoder& dec) {
+  const auto tag = dec.read_u8();
+  switch (static_cast<Value::Kind>(tag)) {
+    case Value::Kind::null:
+      return;
+    case Value::Kind::boolean:
+      (void)dec.read_bool();
+      return;
+    case Value::Kind::integer:
+      (void)dec.read_varint();
+      return;
+    case Value::Kind::real:
+      dec.skip(8);
+      return;
+    case Value::Kind::string:
+    case Value::Kind::bytes:
+      (void)dec.read_bytes_view();
+      return;
+    case Value::Kind::list: {
+      const auto n = dec.read_count();
+      for (std::uint64_t i = 0; i < n; ++i) skip_value(dec);
+      return;
+    }
+    case Value::Kind::map: {
+      const auto n = dec.read_count();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        (void)dec.read_bytes_view();
+        skip_value(dec);
+      }
+      return;
+    }
+  }
+  throw DecodeError("invalid Value kind tag " + std::to_string(tag));
+}
+
 std::size_t Value::encoded_size() const {
   // Computed arithmetically (no encoding, no allocation): hot commit paths
   // use this to pre-size the encode buffer, so it must mirror serialize()

@@ -117,6 +117,12 @@ class Value {
       data_;
 };
 
+/// Advance `dec` past one encoded Value without building it: the
+/// bounds-checked walk image-level delta shipping uses to find section
+/// and slot boundaries. Throws DecodeError wherever Value::deserialize
+/// would.
+void skip_value(Decoder& dec);
+
 /// A structural patch between two Values. Patches over map values are
 /// sparse (per key); any other change is recorded as a whole-value set.
 class ValuePatch {

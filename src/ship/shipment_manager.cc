@@ -1,6 +1,7 @@
 #include "ship/shipment_manager.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "agent/agent.h"
 #include "serial/decoder.h"
@@ -11,17 +12,26 @@ namespace mar::ship {
 
 namespace {
 
-/// Content identity of a base image (FNV-1a 64). Both channel ends hash
-/// the exact bytes a delta applies to; a mismatch (lost ack, divergent
-/// caches) downgrades the shipment to a full image instead of silently
-/// reconstructing the wrong state.
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
+constexpr std::uint64_t kHashMul[4] = {
+    0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull,
+    0xd6e8feb86659fd93ull};
+
+/// One lane step: xor the word in, multiply, fold the high bits down.
+/// Bijective in the word for a fixed lane and in the lane for a fixed
+/// word, so a changed word changes the lane for good.
+std::uint64_t mix_lane(std::uint64_t lane, std::uint64_t word,
+                       std::uint64_t mul) {
+  lane = (lane ^ word) * mul;
+  return lane ^ (lane >> 31);
+}
+
+/// Final avalanche (the MurmurHash3 64-bit finalizer; bijective).
+std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
 }
 
 /// Convoy entry modes. Every entry doubles as the 2PC PREPARE for its
@@ -36,6 +46,42 @@ constexpr std::uint8_t kNeedFull = 1;
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// content_hash
+// ---------------------------------------------------------------------------
+
+std::uint64_t content_hash(std::span<const std::uint8_t> bytes) {
+  // Four independent lanes over 8-byte loads (native byte order: both
+  // channel ends run in one process), then the lanes and the length fold
+  // into one word. Every fold is bijective in each input, so images of
+  // equal length that differ in any bit hash differently.
+  std::uint64_t lanes[4] = {kHashMul[0], kHashMul[1], kHashMul[2],
+                            kHashMul[3]};
+  const auto* p = bytes.data();
+  std::size_t n = bytes.size();
+  const auto load = [](const std::uint8_t* at, std::size_t len) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, at, len);
+    return w;
+  };
+  for (; n >= 32; p += 32, n -= 32) {
+    for (int i = 0; i < 4; ++i) {
+      lanes[i] = mix_lane(lanes[i], load(p + 8 * i, 8), kHashMul[i]);
+    }
+  }
+  for (int i = 0; n > 0; ++i) {  // at most three words and a partial one
+    const auto len = std::min<std::size_t>(n, 8);
+    lanes[i] = mix_lane(lanes[i], load(p, len), kHashMul[i]);
+    p += len;
+    n -= len;
+  }
+  std::uint64_t h = bytes.size() * kHashMul[0];
+  for (int i = 0; i < 4; ++i) {
+    h = (h ^ avalanche(lanes[i])) * kHashMul[(i + 1) % 4];
+  }
+  return avalanche(h);
+}
+
+// ---------------------------------------------------------------------------
 // BaseCache
 // ---------------------------------------------------------------------------
 
@@ -47,16 +93,14 @@ BaseEntry* BaseCache::find(NodeId peer, AgentId agent) {
 }
 
 void BaseCache::put(NodeId peer, AgentId agent, serial::Bytes image,
-                    std::uint64_t epoch, std::size_t budget,
-                    std::shared_ptr<agent::Agent> decoded) {
+                    std::uint64_t epoch, std::size_t budget) {
   erase(peer, agent);
   if (image.size() > budget) return;  // would evict everything else anyway
   total_ += image.size();
-  const std::uint64_t hash = fnv1a(image);
+  const std::uint64_t hash = content_hash(image);
   const Key key = key_of(peer, agent);
   index_.emplace(key, lru_.emplace(lru_.end(), key,
-                                   BaseEntry{std::move(image), epoch, hash,
-                                             std::move(decoded)}));
+                                   BaseEntry{std::move(image), epoch, hash}));
   while (total_ > budget) {
     total_ -= lru_.front().second.image.size();
     index_.erase(lru_.front().first);
@@ -105,16 +149,7 @@ void ShipmentManager::encode_frame(Pending& p) {
     if (auto* base = send_cache_.find(p.dest, p.record.agent)) {
       std::optional<serial::Bytes> delta;
       try {
-        if (base->decoded == nullptr) {
-          base->decoded = agent::decode_agent(p_.agent_types(), base->image);
-        }
-        // The payload decode is retained: once acknowledged it becomes
-        // the channel's next base in already-decoded form, so steady
-        // ping-pong pays one decode per hop, not three.
-        p.decoded_payload =
-            agent::decode_agent(p_.agent_types(), p.record.payload);
-        delta = encode_agent_delta_between(*base->decoded,
-                                           *p.decoded_payload);
+        delta = agent::encode_image_delta(base->image, p.record.payload);
       } catch (const serial::DecodeError&) {
         delta.reset();  // corrupt cache entry: fall back and re-establish
       }
@@ -284,7 +319,6 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       entry.expect_end();
       wire_bytes = delta.size();
       auto* base = recv_cache_.find(m.from, rec.agent);
-      std::shared_ptr<agent::Agent> rebuilt;
       if (base == nullptr || base_epoch != epoch_tag_ ||
           base->hash != base_hash) {
         // No usable base (crash wiped the cache, or the channels
@@ -293,18 +327,16 @@ void ShipmentManager::on_convoy(const net::Message& m) {
         status = kNeedFull;
       } else {
         try {
-          // The memoized decoded base is advanced in place — after the
-          // apply it IS the reconstructed state, re-cached below as the
-          // channel's next base.
-          rebuilt = base->decoded != nullptr
-                        ? std::move(base->decoded)
-                        : std::shared_ptr<agent::Agent>(agent::decode_agent(
-                              p_.agent_types(), base->image));
-          agent::apply_agent_delta(*rebuilt, delta);
-          rec.payload = agent::encode_agent(*rebuilt);
+          rec.payload = agent::apply_image_delta(base->image, delta);
+          MAR_DCHECK_MSG(rec.payload ==
+                             agent::apply_image_delta_by_decode(
+                                 p_.agent_types(), base->image, delta),
+                         "image-level apply diverged from the decoded "
+                         "apply for agent "
+                             << rec.agent.value());
         } catch (const serial::DecodeError&) {
-          // Divergence the hash did not catch; the half-applied decoded
-          // state must not survive as a base.
+          // Divergence the hash did not catch: drop the base so the full
+          // image answering need_full re-establishes the channel.
           recv_cache_.erase(m.from, rec.agent);
           status = kNeedFull;
         }
@@ -312,7 +344,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       if (status == kStaged) {
         storage_.note_shipment(wire_bytes, rec.payload.size());
         recv_cache_.put(m.from, rec.agent, rec.payload, epoch_tag_,
-                        p_.config().ship_cache_bytes, std::move(rebuilt));
+                        p_.config().ship_cache_bytes);
         txm_.note_remote_staged(tx);
         qm_.stage_enqueue(tx, std::move(rec));
       }
@@ -377,12 +409,10 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
       Pending p = std::move(it->second);
       awaiting_.erase(it);
       // The shipped image is now the channel base on both ends, valid
-      // under the receiver epoch the ack reported; the payload decode
-      // made for the diff is memoized with it.
+      // under the receiver epoch the ack reported.
       if (!p.record.payload.empty()) {
         send_cache_.put(p.dest, p.record.agent, std::move(p.record.payload),
-                        peer_epoch, p_.config().ship_cache_bytes,
-                        std::move(p.decoded_payload));
+                        peer_epoch, p_.config().ship_cache_bytes);
       }
       p.done(true);
       continue;

@@ -12,8 +12,10 @@
 //     shipped per agent (epoch- and hash-tagged, LRU-bounded under
 //     PlatformConfig::ship_cache_bytes). The first migration of an agent
 //     establishes the base; later migrations over the same pair ship only
-//     encode_agent_delta_between(base, current) — the receiver holds the
-//     matching base and reconstructs via apply_agent_delta;
+//     encode_image_delta(base, current) — the receiver holds the matching
+//     base and splices the new image via apply_image_delta. Both work on
+//     encoded images: the ship layer never decodes an agent, and the
+//     caches hold bytes only;
 //   * the fallback to a full image is automatic and self-healing: sender
 //     cache miss, a rollback that broke the log-prefix property, a delta
 //     exceeding ship_delta_max_ratio of the full image, or a receiver-side
@@ -35,8 +37,8 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,17 +71,19 @@ struct ShipStats {
   RelaxedCounter wire_payload_bytes; ///< convoy payload bytes sent
 };
 
+/// Content identity of a base image: a word-at-a-time 64-bit hash. Both
+/// channel ends hash the exact bytes a delta applies to; a mismatch (lost
+/// ack, divergent caches) downgrades the shipment to a full image instead
+/// of silently reconstructing the wrong state.
+[[nodiscard]] std::uint64_t content_hash(std::span<const std::uint8_t> bytes);
+
 /// One cached base image: the last full agent image that crossed a
 /// channel, plus the receiver epoch it is valid under and its content
 /// hash (both sides must agree on the exact bytes a delta applies to).
-/// `decoded` memoizes the image's decoded form so the per-hop diff
-/// (sender) / delta apply (receiver) skips re-decoding the base; it is
-/// an optimization slot only — `image` + `hash` stay authoritative.
 struct BaseEntry {
   serial::Bytes image;
   std::uint64_t epoch = 0;
   std::uint64_t hash = 0;
-  std::shared_ptr<agent::Agent> decoded;
 };
 
 /// LRU pool of base images, bounded by ship_cache_bytes. One pool per
@@ -98,10 +102,12 @@ class BaseCache {
   /// (the acked sender) move it in instead of copying a full agent
   /// image per hop.
   void put(NodeId peer, AgentId agent, serial::Bytes image,
-           std::uint64_t epoch, std::size_t budget,
-           std::shared_ptr<agent::Agent> decoded = nullptr);
+           std::uint64_t epoch, std::size_t budget);
   void erase(NodeId peer, AgentId agent);
   void clear();
+  /// Resident image bytes: the cache's whole footprint, never above the
+  /// budget of the last put.
+  [[nodiscard]] std::size_t bytes() const { return total_; }
 
  private:
   using Key = std::pair<std::uint32_t, std::uint64_t>;
@@ -141,13 +147,17 @@ class ShipmentManager {
   /// This node's receive-channel epoch (bumped per crash/recovery);
   /// deltas referencing an older epoch are answered with need_full.
   [[nodiscard]] std::uint64_t channel_epoch() const { return epoch_tag_; }
+  /// Resident base-image bytes of both cache sides (the `ship.cache_bytes`
+  /// gauge); each side stays within ship_cache_bytes.
+  [[nodiscard]] std::size_t cache_bytes() const {
+    return send_cache_.bytes() + recv_cache_.bytes();
+  }
 
  private:
   /// A shipment in flight: queued for its convoy or awaiting the ack. The
   /// full record is retained so a need_full reject can re-ship the image
-  /// under the same transaction without involving the caller; the decoded
-  /// payload (when the delta path produced one) becomes the channel
-  /// base's memoized form once the receiver acknowledges.
+  /// under the same transaction without involving the caller, and so its
+  /// payload becomes the channel base once the receiver acknowledges.
   struct Pending {
     TxId tx;
     NodeId dest;
@@ -155,7 +165,6 @@ class ShipmentManager {
     serial::Bytes frame;  ///< encoded convoy entry
     bool delta = false;
     std::uint64_t staged_at = 0;  ///< stage_remote time (convoy_wait span)
-    std::shared_ptr<agent::Agent> decoded_payload;
     std::function<void(bool)> done;
   };
 

@@ -138,6 +138,102 @@ TEST(FuzzDecode, RollbackLogTruncationsThrow) {
 }
 
 // ---------------------------------------------------------------------------
+// Image-level delta codec (the ship layer's diff and splice)
+// ---------------------------------------------------------------------------
+
+/// The sample agent as a delta-shipping base, a successor image with
+/// changed, added and removed slots and appended log entries, and the
+/// delta between them.
+struct ImageTriple {
+  serial::Bytes base;
+  serial::Bytes cur;
+  serial::Bytes delta;
+};
+
+ImageTriple sample_image_delta() {
+  const auto reg = registry_with_workload();
+  ImageTriple t;
+  t.base = encoded_sample_agent();
+  auto agent = agent::decode_agent(reg, t.base);
+  agent->data().weak("cash") = std::int64_t{7};
+  agent->data().declare_weak("fresh", serial::Value("slot"));
+  agent->data().strong("results").push_back(serial::Value("r"));
+  agent->set_last_savepoint_strong(serial::Value(std::int64_t{3}));
+  rollback::SavepointEntry sp;
+  sp.id = SavepointId(4);
+  sp.image = agent->data().strong_image();
+  sp.resume_position = {0, 1};
+  agent->log().push(sp);
+  agent->log().push(rollback::BeginOfStepEntry{TestWorld::n(2), "t"});
+  t.cur = agent::encode_agent(*agent);
+  t.delta = agent::encode_image_delta(t.base, t.cur).value();
+  return t;
+}
+
+/// Run every image-codec entry point on (base, cur, delta). Each call must
+/// return or throw DecodeError; any other exception escapes and fails the
+/// test. Returns how many calls threw.
+int image_codec_rejections(const serial::Bytes& base, const serial::Bytes& cur,
+                           const serial::Bytes& delta) {
+  int rejected = 0;
+  const auto attempt = [&rejected](auto&& fn) {
+    try {
+      fn();
+    } catch (const serial::DecodeError&) {
+      ++rejected;
+    }
+  };
+  attempt([&] { (void)agent::scan_agent_image(base); });
+  attempt([&] { (void)agent::encode_image_delta(base, cur); });
+  attempt([&] { (void)agent::apply_image_delta(base, delta); });
+  return rejected;
+}
+
+TEST(FuzzImageDelta, SampleTripleRoundTrips) {
+  const auto t = sample_image_delta();
+  EXPECT_EQ(agent::apply_image_delta(t.base, t.delta), t.cur);
+  EXPECT_EQ(image_codec_rejections(t.base, t.cur, t.delta), 0);
+}
+
+TEST(FuzzImageDelta, EveryTruncationThrowsOrReturns) {
+  const auto t = sample_image_delta();
+  const auto cut = [](const serial::Bytes& b, std::size_t len) {
+    return serial::Bytes(b.begin(), b.begin() + static_cast<long>(len));
+  };
+  for (std::size_t len = 0; len < t.base.size(); ++len) {
+    (void)image_codec_rejections(cut(t.base, len), t.cur, t.delta);
+  }
+  for (std::size_t len = 0; len < t.cur.size(); ++len) {
+    (void)image_codec_rejections(t.base, cut(t.cur, len), t.delta);
+  }
+  // A delta is fully walked (its log entries are validated), so no strict
+  // prefix of one applies.
+  for (std::size_t len = 0; len < t.delta.size(); ++len) {
+    EXPECT_THROW((void)agent::apply_image_delta(t.base, cut(t.delta, len)),
+                 serial::DecodeError)
+        << "truncation at " << len;
+  }
+}
+
+TEST(FuzzImageDelta, RandomByteFlipsNeverCrash) {
+  const auto t = sample_image_delta();
+  Rng rng(0x1d17a);
+  const auto flip = [&rng](serial::Bytes b) {
+    for (auto flips = 1 + rng.next_below(4); flips > 0; --flips) {
+      b[rng.next_below(b.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.next_below(255));
+    }
+    return b;
+  };
+  int rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    rejected += image_codec_rejections(flip(t.base), t.cur, t.delta);
+    rejected += image_codec_rejections(t.base, flip(t.cur), flip(t.delta));
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Mailbox resource
 // ---------------------------------------------------------------------------
 

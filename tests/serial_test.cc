@@ -176,6 +176,27 @@ TEST(DecoderTest, HugeCountThrowsBeforeAllocation) {
   EXPECT_THROW((void)dec.read_count(), DecodeError);
 }
 
+TEST(DecoderTest, HugeBlobLengthThrowsWithoutWrapping) {
+  // A blob length near 2^64 after a few consumed bytes: `offset + length`
+  // wraps, so the bounds check must compare against the remainder.
+  Encoder enc;
+  enc.write_u8(0);
+  enc.write_varint(UINT64_MAX);
+  enc.write_u8(0);
+  for (const bool as_view : {true, false}) {
+    Decoder dec(enc.buffer());
+    (void)dec.read_u8();
+    if (as_view) {
+      EXPECT_THROW((void)dec.read_bytes_view(), DecodeError);
+    } else {
+      EXPECT_THROW((void)dec.read_string_view(), DecodeError);
+    }
+  }
+  Decoder dec(enc.buffer());
+  (void)dec.read_u8();
+  EXPECT_THROW(dec.skip(UINT64_MAX), DecodeError);
+}
+
 TEST(DecoderTest, CorruptedValueListCountIsRejectedStructurally) {
   // End-to-end: inflate the element count inside an encoded Value list and
   // check the decode fails with DecodeError instead of over-allocating.

@@ -5,8 +5,10 @@
 // mid-transfer crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -187,12 +189,60 @@ TEST(BaseCacheTest, EvictsTheSameKeysAsAMinTickScan) {
 }
 
 // --------------------------------------------------------------------------
-// encode_agent_delta_between (unit)
+// content_hash (unit)
 // --------------------------------------------------------------------------
 
-TEST(DeltaBetweenTest, RoundTripsToBitIdenticalImage) {
-  TestWorld w;
-  register_workload(w.platform);
+serial::Bytes sample_image(int steps) {
+  auto ag = std::make_unique<WorkloadAgent>();
+  ag->itinerary() = ping_pong(2, 2);
+  for (int s = 0; s < steps; ++s) {
+    ag->data().strong("results").push_back(std::string(40, 'r'));
+    ag->log().push(rollback::BeginOfStepEntry{TestWorld::n(1), "step"});
+    rollback::EndOfStepEntry eos;
+    eos.node = TestWorld::n(1);
+    ag->log().push(std::move(eos));
+  }
+  return agent::encode_agent(*ag);
+}
+
+TEST(ContentHashTest, EqualBytesHashEquallyAndEveryBitFlipChangesIt) {
+  const auto image = sample_image(6);
+  const serial::Bytes copy = image;
+  const auto h = ship::content_hash(image);
+  EXPECT_EQ(ship::content_hash(copy), h);
+  // Prefixes cover every tail shape (32-byte blocks, whole 8-byte words,
+  // a partial last word); equal bytes agree, different lengths differ.
+  std::set<std::uint64_t> prefix_hashes;
+  for (std::size_t len = 0; len < 80; ++len) {
+    const std::span<const std::uint8_t> prefix(image.data(), len);
+    const serial::Bytes prefix_copy(prefix.begin(), prefix.end());
+    EXPECT_EQ(ship::content_hash(prefix), ship::content_hash(prefix_copy));
+    prefix_hashes.insert(ship::content_hash(prefix));
+  }
+  EXPECT_EQ(prefix_hashes.size(), 80u);
+  serial::Bytes flipped = image;
+  for (std::size_t i = 0; i < flipped.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_NE(ship::content_hash(flipped), h)
+          << "byte " << i << " bit " << bit;
+      flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Image-level deltas (unit)
+// --------------------------------------------------------------------------
+
+agent::AgentTypeRegistry workload_registry() {
+  agent::AgentTypeRegistry reg;
+  reg.register_type<WorkloadAgent>("workload");
+  return reg;
+}
+
+TEST(ImageDeltaTest, RoundTripsToBitIdenticalImage) {
+  const auto reg = workload_registry();
   auto ag = std::make_unique<WorkloadAgent>();
   ag->itinerary() = ping_pong(2, 2);
   const auto base_bytes = agent::encode_agent(*ag);
@@ -206,20 +256,15 @@ TEST(DeltaBetweenTest, RoundTripsToBitIdenticalImage) {
   ag->log().push(std::move(eos));
   const auto cur_bytes = agent::encode_agent(*ag);
 
-  const auto base = w.platform.decode(base_bytes);
-  const auto cur = w.platform.decode(cur_bytes);
-  const auto delta = agent::encode_agent_delta_between(*base, *cur);
+  const auto delta = agent::encode_image_delta(base_bytes, cur_bytes);
   ASSERT_TRUE(delta.has_value());
   EXPECT_LT(delta->size(), cur_bytes.size());
-
-  auto rebuilt = w.platform.decode(base_bytes);
-  agent::apply_agent_delta(*rebuilt, *delta);
-  EXPECT_EQ(agent::encode_agent(*rebuilt), cur_bytes);
+  EXPECT_EQ(agent::apply_image_delta(base_bytes, *delta), cur_bytes);
+  EXPECT_EQ(agent::apply_image_delta_by_decode(reg, base_bytes, *delta),
+            cur_bytes);
 }
 
-TEST(DeltaBetweenTest, DivergedLogRefusesDelta) {
-  TestWorld w;
-  register_workload(w.platform);
+TEST(ImageDeltaTest, DivergedLogRefusesDelta) {
   auto ag = std::make_unique<WorkloadAgent>();
   ag->itinerary() = ping_pong(1, 1);
   ag->log().push(rollback::BeginOfStepEntry{TestWorld::n(1), "a"});
@@ -228,15 +273,357 @@ TEST(DeltaBetweenTest, DivergedLogRefusesDelta) {
   // base log is no longer a prefix.
   (void)ag->log().pop();
   ag->log().push(rollback::BeginOfStepEntry{TestWorld::n(2), "b"});
-  const auto cur_bytes = agent::encode_agent(*ag);
-  const auto base = w.platform.decode(base_bytes);
-  const auto cur = w.platform.decode(cur_bytes);
-  EXPECT_FALSE(agent::encode_agent_delta_between(*base, *cur).has_value());
+  EXPECT_FALSE(agent::encode_image_delta(base_bytes, agent::encode_agent(*ag))
+                   .has_value());
   // Shorter-than-base logs refuse as well.
   (void)ag->log().pop();
-  const auto shorter = w.platform.decode(agent::encode_agent(*ag));
-  EXPECT_FALSE(
-      agent::encode_agent_delta_between(*base, *shorter).has_value());
+  EXPECT_FALSE(agent::encode_image_delta(base_bytes, agent::encode_agent(*ag))
+                   .has_value());
+}
+
+TEST(ImageDeltaTest, ScanFindsEverySection) {
+  auto ag = std::make_unique<WorkloadAgent>();
+  ag->itinerary() = ping_pong(2, 1);
+  ag->set_last_savepoint_strong(serial::Value(std::int64_t{5}));
+  ag->log().push(rollback::BeginOfStepEntry{TestWorld::n(1), "a"});
+  const auto image = agent::encode_agent(*ag);
+  const auto a = agent::scan_agent_image(image);
+  const auto bytes_of = [](const auto& obj) { return serial::to_bytes(obj); };
+  const auto as_bytes = [](std::span<const std::uint8_t> s) {
+    return serial::Bytes(s.begin(), s.end());
+  };
+  EXPECT_EQ(as_bytes(a.strong), bytes_of(ag->data().strong_image()));
+  EXPECT_EQ(as_bytes(a.weak), bytes_of(ag->data().weak_image()));
+  EXPECT_EQ(as_bytes(a.itinerary), bytes_of(ag->itinerary()));
+  EXPECT_EQ(as_bytes(a.last_sp_strong),
+            bytes_of(ag->last_savepoint_strong()));
+  EXPECT_EQ(a.log_count, 1u);
+  EXPECT_EQ(as_bytes(a.log_entries), bytes_of(ag->log().entries().front()));
+  EXPECT_EQ(a.head.size() + 1 + a.strong.size() + a.weak.size() +
+                a.itinerary.size() + a.fields.size() +
+                a.last_sp_strong.size() + 1 + a.log_entries.size(),
+            image.size());
+}
+
+// --------------------------------------------------------------------------
+// Differential fuzz: image-level deltas against the object-level paths
+// --------------------------------------------------------------------------
+
+/// Test-local copy of the object-level diff the ship layer used before it
+/// worked on encoded images: log prefix by LogEntry equality, data slots
+/// by Value equality. `cur` must be a decoded agent (the next savepoint id
+/// is read by allocating one, the only public way to see it).
+std::optional<serial::Bytes> reference_delta(const agent::Agent& base,
+                                             agent::Agent& cur) {
+  const auto& base_log = base.log().entries();
+  const auto& cur_log = cur.log().entries();
+  if (cur_log.size() < base_log.size()) return std::nullopt;
+  for (std::size_t i = 0; i < base_log.size(); ++i) {
+    if (!(base_log[i] == cur_log[i])) return std::nullopt;
+  }
+  serial::Encoder enc;  // mar-lint: small-frame
+  enc.write_u8(static_cast<std::uint8_t>(cur.run_state()));
+  enc.write_varint(cur.position().size());
+  for (const auto i : cur.position()) enc.write_u32(i);
+  enc.write_varint(cur.savepoint_stack().size());
+  for (const auto& e : cur.savepoint_stack()) e.serialize(enc);
+  enc.write_u32(cur.allocate_savepoint_id().value());
+  enc.write_u32(cur.rollbacks_completed());
+  enc.write_u64(cur.parent().value());
+  enc.write_u32(cur.result_node().value());
+  enc.write_string(cur.result_key());
+  enc.write_bool(cur.retain_full_log());
+  enc.write_bool(cur.force_full_savepoint());
+  const bool sp_changed =
+      !(base.last_savepoint_strong() == cur.last_savepoint_strong());
+  enc.write_bool(sp_changed);
+  if (sp_changed) cur.last_savepoint_strong().serialize(enc);
+  const auto section = [&enc](const serial::Value& b, const serial::Value& c) {
+    for (const auto& [name, v] : b.as_map()) {
+      (void)v;
+      if (!c.has(name)) {
+        enc.write_u8(1);  // full map
+        c.serialize(enc);
+        return;
+      }
+    }
+    std::vector<const std::string*> changed;
+    for (const auto& [name, v] : c.as_map()) {
+      if (!b.has(name) || !(b.at(name) == v)) changed.push_back(&name);
+    }
+    enc.write_u8(0);  // sparse slots
+    enc.write_varint(changed.size());
+    for (const auto* name : changed) {
+      enc.write_string(*name);
+      c.at(*name).serialize(enc);
+    }
+  };
+  section(base.data().strong_image(), cur.data().strong_image());
+  section(base.data().weak_image(), cur.data().weak_image());
+  enc.write_varint(cur_log.size() - base_log.size());
+  for (std::size_t i = base_log.size(); i < cur_log.size(); ++i) {
+    cur_log[i].serialize(enc);
+  }
+  return std::move(enc).take();
+}
+
+/// A random Value without reals, so byte equality and Value equality
+/// coincide (a real's -0.0/+0.0 and NaN are where they part).
+serial::Value random_value(Rng& rng, int depth) {
+  switch (rng.next_below(depth > 0 ? 7 : 5)) {
+    case 0:
+      return {};
+    case 1:
+      return serial::Value(rng.next_below(2) == 0);
+    case 2:
+      return serial::Value(static_cast<std::int64_t>(rng.next_below(4000)) -
+                           2000);
+    case 3:
+      return serial::Value("s" + std::to_string(rng.next_below(50)));
+    case 4:
+      return serial::Value(serial::Bytes(
+          rng.next_below(20), static_cast<std::uint8_t>(rng.next_below(256))));
+    case 5: {
+      auto l = serial::Value::empty_list();
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        l.push_back(random_value(rng, depth - 1));
+      }
+      return l;
+    }
+    default: {
+      auto m = serial::Value::empty_map();
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        m.set("k" + std::to_string(rng.next_below(6)),
+              random_value(rng, depth - 1));
+      }
+      return m;
+    }
+  }
+}
+
+Itinerary random_itinerary(Rng& rng, int depth) {
+  Itinerary it;
+  for (auto n = 1 + rng.next_below(3); n > 0; --n) {
+    const auto node = TestWorld::n(1 + static_cast<int>(rng.next_below(4)));
+    switch (depth > 0 ? rng.next_below(4) : rng.next_below(2)) {
+      case 0:
+        it.step("work", {node, TestWorld::n(4)});
+        break;
+      case 1:
+        it.step_if("work", node,
+                   agent::Condition{"cash", agent::Condition::Op::ge,
+                                    random_value(rng, 1)});
+        break;
+      case 2:
+        it.sub(random_itinerary(rng, depth - 1), rng.next_below(2) == 0);
+        break;
+      default:
+        it.alt({random_itinerary(rng, depth - 1),
+                random_itinerary(rng, depth - 1)});
+        break;
+    }
+  }
+  return it;
+}
+
+rollback::LogEntry random_entry(Rng& rng) {
+  const auto node = TestWorld::n(1 + static_cast<int>(rng.next_below(4)));
+  switch (rng.next_below(4)) {
+    case 0: {
+      rollback::SavepointEntry sp;
+      sp.id = SavepointId(static_cast<std::uint32_t>(1 + rng.next_below(40)));
+      sp.origin = rng.next_below(2) == 0
+                      ? rollback::SavepointOrigin::adhoc
+                      : rollback::SavepointOrigin::sub_itinerary;
+      sp.depth = static_cast<std::uint32_t>(rng.next_below(3));
+      sp.lightweight = rng.next_below(4) == 0;
+      sp.transition = rng.next_below(2) == 0;
+      if (sp.transition) {
+        sp.delta = serial::diff(random_value(rng, 2), random_value(rng, 2));
+      } else {
+        sp.image = random_value(rng, 2);
+      }
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        sp.resume_position.push_back(
+            static_cast<std::uint32_t>(rng.next_below(5)));
+      }
+      return sp;
+    }
+    case 1:
+      return rollback::BeginOfStepEntry{
+          node, "step" + std::to_string(rng.next_below(9))};
+    case 2: {
+      rollback::OperationEntry op;
+      op.kind = static_cast<rollback::OpEntryKind>(rng.next_below(3));
+      op.comp_op = "comp." + std::to_string(rng.next_below(5));
+      op.params = random_value(rng, 2);
+      op.resource_node = node;
+      op.resource = "bank";
+      return op;
+    }
+    default: {
+      rollback::EndOfStepEntry eos;
+      eos.node = node;
+      eos.has_mixed = rng.next_below(2) == 0;
+      eos.cannot_compensate = rng.next_below(8) == 0;
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        eos.alternatives.push_back(
+            TestWorld::n(1 + static_cast<int>(rng.next_below(4))));
+      }
+      return eos;
+    }
+  }
+}
+
+/// Kinds of change a history applies; the fuzz counts how often each ran.
+enum class Op {
+  strong_add,
+  strong_overwrite,
+  strong_remove,
+  results_push,
+  weak_add,
+  weak_overwrite,
+  weak_remove,
+  log_push,
+  log_pop,
+  sp_stack,
+  last_sp_strong,
+  platform_fields,
+  count,
+};
+
+std::string random_slot(Rng& rng, const serial::Value& map) {
+  const auto& m = map.as_map();
+  auto it = m.begin();
+  std::advance(it, static_cast<long>(rng.next_below(m.size())));
+  return it->first;
+}
+
+Op mutate(agent::Agent& ag, Rng& rng) {
+  auto& data = ag.data();
+  const auto op = static_cast<Op>(rng.next_below(static_cast<int>(Op::count)));
+  const auto slot = "x" + std::to_string(rng.next_below(5));
+  switch (op) {
+    case Op::strong_add:
+      data.declare_strong("s" + slot, random_value(rng, 2));
+      break;
+    case Op::strong_overwrite:
+      data.strong(random_slot(rng, data.strong_image())) =
+          random_value(rng, 2);
+      break;
+    case Op::strong_remove: {
+      auto image = data.strong_image();
+      if (const auto name = random_slot(rng, image); name != "results") {
+        image.erase(name);
+      }
+      data.restore_strong(std::move(image));
+      break;
+    }
+    case Op::results_push: {
+      auto& results = data.strong("results");
+      if (!results.is_list()) results = serial::Value::empty_list();
+      results.push_back(random_value(rng, 1));
+      break;
+    }
+    case Op::weak_add:
+      data.declare_weak("w" + slot, random_value(rng, 2));
+      break;
+    case Op::weak_overwrite:
+      data.weak(random_slot(rng, data.weak_image())) = random_value(rng, 2);
+      break;
+    case Op::weak_remove: {
+      auto* weak = data.weak_slots();
+      if (weak->size() > 1) weak->erase(random_slot(rng, *weak));
+      break;
+    }
+    case Op::log_push:
+      ag.log().push(random_entry(rng));
+      break;
+    case Op::log_pop:
+      if (!ag.log().empty()) (void)ag.log().pop();
+      break;
+    case Op::sp_stack: {
+      auto& stack = ag.savepoint_stack();
+      if (!stack.empty() && rng.next_below(2) == 0) {
+        stack.pop_back();
+      } else {
+        stack.push_back({ag.allocate_savepoint_id(),
+                         rollback::SavepointOrigin::sub_itinerary,
+                         static_cast<std::uint32_t>(rng.next_below(3))});
+      }
+      break;
+    }
+    case Op::last_sp_strong:
+      ag.set_last_savepoint_strong(random_value(rng, 2));
+      break;
+    default:
+      ag.set_run_state(static_cast<agent::Agent::RunState>(rng.next_below(3)));
+      ag.set_position({static_cast<std::uint32_t>(rng.next_below(3)),
+                       static_cast<std::uint32_t>(rng.next_below(3))});
+      if (rng.next_below(2) == 0) ag.note_rollback_completed();
+      ag.set_force_full_savepoint(rng.next_below(2) == 0);
+      break;
+  }
+  return op;
+}
+
+TEST(ImageDeltaFuzz, MatchesObjectLevelDiffAndApplyOverSeededHistories) {
+  const auto reg = workload_registry();
+  constexpr int kHistories = 2500;
+  std::vector<int> ops(static_cast<std::size_t>(Op::count), 0);
+  int deltas = 0;
+  int refused = 0;
+  int full_map_sections = 0;
+  for (int seed = 1; seed <= kHistories; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    auto ag = std::make_unique<WorkloadAgent>();
+    Itinerary main_it;
+    main_it.sub(random_itinerary(rng, 3));
+    ag->itinerary() = std::move(main_it);
+    for (auto n = rng.next_below(12); n > 0; --n) (void)mutate(*ag, rng);
+    const auto base_bytes = agent::encode_agent(*ag);
+    const auto base_log = ag->log().entries();
+    for (auto n = rng.next_below(8); n > 0; --n) {
+      ++ops[static_cast<std::size_t>(mutate(*ag, rng))];
+    }
+    const auto cur_bytes = agent::encode_agent(*ag);
+    const auto& cur_log = ag->log().entries();
+    const bool prefix =
+        cur_log.size() >= base_log.size() &&
+        std::equal(base_log.begin(), base_log.end(), cur_log.begin());
+
+    const auto delta = agent::encode_image_delta(base_bytes, cur_bytes);
+    ASSERT_EQ(delta.has_value(), prefix) << "seed " << seed;
+    const auto base = agent::decode_agent(reg, base_bytes);
+    auto cur = agent::decode_agent(reg, cur_bytes);
+    const auto expected = reference_delta(*base, *cur);
+    ASSERT_EQ(expected.has_value(), prefix) << "seed " << seed;
+    if (!prefix) {
+      ++refused;
+      continue;
+    }
+    ++deltas;
+    ASSERT_EQ(*delta, *expected) << "seed " << seed;
+    ASSERT_EQ(agent::apply_image_delta(base_bytes, *delta), cur_bytes)
+        << "seed " << seed;
+    ASSERT_EQ(agent::apply_image_delta_by_decode(reg, base_bytes, *delta),
+              cur_bytes)
+        << "seed " << seed;
+    // The strong section's mode byte follows run_state, the fields and
+    // the last_sp_strong flag (+ value).
+    const auto a = agent::scan_agent_image(cur_bytes);
+    const std::size_t flag_at = 1 + a.fields.size();
+    const std::size_t mode_at =
+        flag_at + 1 + ((*delta)[flag_at] != 0 ? a.last_sp_strong.size() : 0);
+    full_map_sections += (*delta)[mode_at] == 1 ? 1 : 0;
+  }
+  // Both outcomes and every kind of change are well represented.
+  EXPECT_GT(deltas, kHistories / 4);
+  EXPECT_GT(refused, kHistories / 20);
+  EXPECT_GT(full_map_sections, 50);
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    EXPECT_GT(ops[k], 500) << "op kind " << k;
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -276,6 +663,51 @@ TEST(ShipTest, ChannelsActuallyShipDeltas) {
   // The receivers materialized full images out of small deltas.
   const auto& st2 = w.platform.node(TestWorld::n(2)).storage().stats();
   EXPECT_GT(st2.ship_bytes_reconstructed, st2.ship_bytes_received);
+}
+
+TEST(ShipTest, CacheGaugeStaysWithinTwiceTheBudget) {
+  // Several aged agents ping-pong over one pair of channels under a budget
+  // that holds only some of their images: the ship.cache_bytes gauge (send
+  // plus receive side) must never exceed 2 x ship_cache_bytes, now that the
+  // caches hold image bytes and nothing else.
+  PlatformConfig cfg;
+  cfg.discard_log_on_top_level = false;
+  cfg.ship_cache_bytes = 6'000;
+  TestWorld w(cfg, 2, 11);
+  register_workload(w.platform);
+  std::vector<AgentId> ids;
+  for (int a = 0; a < 4; ++a) {
+    auto ag = std::make_unique<WorkloadAgent>();
+    ag->itinerary() = ping_pong(8 + 4 * a, 10);
+    ag->set_config("param_bytes", 64);
+    auto id = w.platform.launch(std::move(ag));
+    ASSERT_TRUE(id.is_ok());
+    ids.push_back(id.value());
+  }
+  std::uint64_t peak = 0;
+  const auto gauge = [&w](int node) {
+    return w.platform.node(TestWorld::n(node)).shipments().cache_bytes();
+  };
+  const bool all_done = w.sim.run_while_pending([&] {
+    for (const int node : {1, 2}) {
+      peak = std::max<std::uint64_t>(peak, gauge(node));
+      EXPECT_LE(gauge(node), 2 * cfg.ship_cache_bytes);
+    }
+    return std::all_of(ids.begin(), ids.end(), [&w](AgentId id) {
+      return w.platform.finished(id);
+    });
+  });
+  ASSERT_TRUE(all_done);
+  // The budget binds (the peak is past one side's share) and deltas flowed.
+  EXPECT_GT(peak, cfg.ship_cache_bytes);
+  std::uint64_t deltas = 0;
+  for (const int node : {1, 2}) {
+    auto& rt = w.platform.node(TestWorld::n(node));
+    deltas += rt.shipments().stats().delta_ships;
+    EXPECT_EQ(rt.metrics_snapshot().scalars.at("ship.cache_bytes"),
+              gauge(node));
+  }
+  EXPECT_GT(deltas, 0u);
 }
 
 TEST(ShipTest, TinyCacheFallsBackToFullImages) {
