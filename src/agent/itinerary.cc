@@ -68,7 +68,11 @@ void StepEntry::serialize(serial::Encoder& enc) const {
 
 void StepEntry::deserialize(serial::Decoder& dec) {
   method = dec.read_string();
-  locations.resize(dec.read_count());
+  // Itinerary::step rejects a step without nodes; so must the decoder, or
+  // every routing decision would pick from an empty list.
+  const auto nodes = dec.read_count();
+  if (nodes == 0) throw serial::DecodeError("step has no locations");
+  locations.resize(nodes);
   for (auto& n : locations) n = NodeId(dec.read_u32());
   if (dec.read_bool()) {
     when.emplace();

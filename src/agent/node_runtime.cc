@@ -34,8 +34,7 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   txm_.set_trace(&platform.trace());
   storage_.enable_segmented_log(
       storage::SegmentLogConfig{platform.config().segment_bytes});
-  txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
-                      platform.config().checkpoint_write_us);
+  txm_.set_checkpoint(platform.config().checkpoint_interval_bytes);
   qm_.set_clock([this] { return p_.sim().now(); });
 
   // Metrics registry (DESIGN.md §12): every stats counter of this node's
@@ -105,16 +104,7 @@ void NodeRuntime::span_hop_begin(QueueRecord& rec) {
       rec.hop_span_id = it->second.span_id;
       rec.hop_begin_us = it->second.begin_us;
       if (it->second.lock_wait_since != 0) {
-        Span lw;
-        lw.trace_id = rec.trace_id;
-        lw.span_id = spans.next_id();
-        lw.parent = rec.hop_span_id;
-        lw.kind = SpanKind::lock_wait;
-        lw.node = id_.value();
-        lw.agent = rec.agent.value();
-        lw.begin_us = it->second.lock_wait_since;
-        lw.end_us = now;
-        spans.record(std::move(lw));
+        record_span(rec, SpanKind::lock_wait, it->second.lock_wait_since);
       }
       hop_traces_.erase(it);
       return;
@@ -129,54 +119,41 @@ void NodeRuntime::span_hop_begin(QueueRecord& rec) {
   rec.hop_begin_us = rec.enqueued_us != 0 && rec.enqueued_us <= now
                          ? rec.enqueued_us
                          : now;
-  Span qw;
-  qw.trace_id = rec.trace_id;
-  qw.span_id = spans.next_id();
-  qw.parent = rec.hop_span_id;
-  qw.kind = SpanKind::queue_wait;
-  qw.node = id_.value();
-  qw.agent = rec.agent.value();
-  qw.begin_us = rec.hop_begin_us;
-  qw.end_us = now;
-  spans.record(std::move(qw));
+  record_span(rec, SpanKind::queue_wait, rec.hop_begin_us);
   hist_queue_wait_us_->record(now - rec.hop_begin_us);
 }
 
 void NodeRuntime::span_hop_end(const QueueRecord& rec) {
   if (rec.hop_span_id == 0) return;  // tracing was off when claimed
-  auto& spans = p_.spans();
-  if (!spans.enabled()) return;
-  const auto now = p_.sim().now();
-  Span hop;
-  hop.trace_id = rec.trace_id;
-  hop.span_id = rec.hop_span_id;
-  hop.parent = rec.trace_parent;
-  hop.kind = SpanKind::hop;
-  hop.node = id_.value();
-  hop.agent = rec.agent.value();
-  hop.begin_us = rec.hop_begin_us;
-  hop.end_us = now;
-  if (rec.kind == RecordKind::compensate) hop.note = "comp";
-  spans.record(std::move(hop));
-  hist_hop_us_->record(now - rec.hop_begin_us);
+  if (!p_.spans().enabled()) return;
+  record_span(rec, SpanKind::hop, rec.hop_begin_us,
+              rec.kind == RecordKind::compensate ? "comp" : "");
+  hist_hop_us_->record(p_.sim().now() - rec.hop_begin_us);
 }
 
 void NodeRuntime::span_commit_flush(const QueueRecord& rec,
                                     std::uint64_t begin_us) {
+  if (!p_.spans().enabled()) return;
+  record_span(rec, SpanKind::commit_flush, begin_us);
+  hist_commit_flush_us_->record(p_.sim().now() - begin_us);
+}
+
+void NodeRuntime::record_span(const QueueRecord& rec, SpanKind kind,
+                              std::uint64_t begin_us, std::string note) {
   auto& spans = p_.spans();
-  if (!spans.enabled()) return;
-  const auto now = p_.sim().now();
-  Span cf;
-  cf.trace_id = rec.trace_id;
-  cf.span_id = spans.next_id();
-  cf.parent = rec.hop_span_id;
-  cf.kind = SpanKind::commit_flush;
-  cf.node = id_.value();
-  cf.agent = rec.agent.value();
-  cf.begin_us = begin_us;
-  cf.end_us = now;
-  spans.record(std::move(cf));
-  hist_commit_flush_us_->record(now - begin_us);
+  Span s;
+  s.trace_id = rec.trace_id;
+  // The hop span was opened (its id drawn) at claim time; every other
+  // span is a fresh child of the hop.
+  s.span_id = kind == SpanKind::hop ? rec.hop_span_id : spans.next_id();
+  s.parent = kind == SpanKind::hop ? rec.trace_parent : rec.hop_span_id;
+  s.kind = kind;
+  s.node = id_.value();
+  s.agent = rec.agent.valid() ? rec.agent.value() : 0;
+  s.begin_us = begin_us;
+  s.end_us = p_.sim().now();
+  s.note = std::move(note);
+  spans.record(std::move(s));
 }
 
 void NodeRuntime::propagate_trace(const QueueRecord& from,
@@ -367,30 +344,17 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = decode(rec.payload);
-  const StepEntry step = agent->itinerary().step_at(agent->position());
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = step.locations[attempt % step.locations.size()];
+  const NodeId dest = pick_node(
+      rec, agent->itinerary().step_at(agent->position()).locations);
   QueueRecord next_rec =
       make_record(*agent, RecordKind::execute, SavepointId::invalid());
-  propagate_trace(rec, next_rec);
   if (dest != id_) {
     trace(TraceKind::migrate,
           "child agent " + std::to_string(rec.agent.value()) + " -> N" +
               std::to_string(dest.value()) + " (launch, " +
               std::to_string(next_rec.payload.size()) + " bytes)");
   }
-  stage_and_commit(tx, dest, std::move(next_rec),
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  hand_off(tx, dest, std::move(next_rec), rec);
 }
 
 void NodeRuntime::execute_cancel(const QueueRecord& rec) {
@@ -416,55 +380,7 @@ void NodeRuntime::execute_cancel(const QueueRecord& rec) {
         "cancelling agent " + std::to_string(rec.agent.value()) +
             " (complete rollback to SP_" + std::to_string(target.value()) +
             ")");
-  initiate_cancel_rollback(rec, target);
-}
-
-void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
-                                           SavepointId target) {
-  const TxId tx = txm_.begin();
-  qm_.stage_remove(tx, rec.record_id);
-  evict_resident(rec.agent);
-  std::shared_ptr<Agent> agent = load_committed_agent(rec);
-  auto& log = agent->log();
-  while (!log.empty() && log.back().is_savepoint() &&
-         log.back().savepoint().id != target) {
-    (void)log.pop();
-  }
-  if (log.trailing_savepoint() == target) {
-    // Nothing committed since launch: terminate right away.
-    finish_cancelled(tx, rec, *agent);
-    return;
-  }
-  const auto dests =
-      next_compensation_nodes(log, *agent, committed_agent_bytes(rec));
-  if (dests.empty()) {
-    fail_agent(tx, rec, Status(Errc::protocol_error,
-                               "cancel: rollback log has no end-of-step"));
-    return;
-  }
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = dests[attempt % dests.size()];
-  QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
-  comp_rec.completion = QueueRecord::Completion::cancel;
-  propagate_trace(rec, comp_rec);
-  if (dest != id_) {
-    ++p_.rollback_transfers();
-    trace(TraceKind::migrate,
-          "agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (cancel rollback)");
-  }
-  stage_and_commit(tx, dest, std::move(comp_rec),
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  initiate_rollback(rec, target, QueueRecord::Completion::cancel);
 }
 
 void NodeRuntime::retry_later(const QueueRecord& rec) {
@@ -524,16 +440,11 @@ void NodeRuntime::on_node_state(bool up) {
     if (p_.spans().enabled()) {
       // The replay is instantaneous in simulated time (its cost is a
       // byte meter, A8's subject); the span marks the event and carries
-      // the replay size for the timeline.
-      Span rs;
-      rs.span_id = p_.spans().next_id();
-      rs.kind = SpanKind::recovery_replay;
-      rs.node = id_.value();
-      rs.begin_us = recovery_begin;
-      rs.end_us = p_.sim().now();
-      rs.note = "replayed_bytes=" + std::to_string(report.replayed_bytes) +
-                " segments=" + std::to_string(report.segments_scanned);
-      p_.spans().record(std::move(rs));
+      // the replay size for the timeline. It is node-level: no hop, no
+      // agent.
+      record_span(QueueRecord{}, SpanKind::recovery_replay, recovery_begin,
+                  "replayed_bytes=" + std::to_string(report.replayed_bytes) +
+                      " segments=" + std::to_string(report.segments_scanned));
     }
     txm_.on_recover();
     pump();
@@ -717,69 +628,64 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
   txm_.commit_async(tx, std::move(done));
 }
 
-void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
-  txm_.abort_tx(tx);
-  evict_resident(rec.agent);
+void NodeRuntime::hand_off(TxId tx, NodeId dest, QueueRecord next,
+                           const QueueRecord& rec) {
+  propagate_trace(rec, next);
+  // A compensation transaction's outcome is traced as such (CT).
+  const bool ct = rec.kind == RecordKind::compensate;
+  stage_and_commit(tx, dest, std::move(next), [this, rec, ct](bool committed) {
+    release_slot(rec);
+    if (committed) {
+      if (ct) trace(TraceKind::comp_commit, "CT committed");
+      span_hop_end(rec);
+      attempts_.erase(rec.record_id);
+      pump();
+    } else {
+      if (ct) trace(TraceKind::comp_abort, "commit failed (will retry)");
+      ++attempts_[rec.record_id];
+      retry_later(rec);
+    }
+  });
+}
+
+NodeId NodeRuntime::pick_node(const QueueRecord& rec,
+                              const std::vector<NodeId>& nodes) const {
+  // Rotate through the candidates on repeated failures (fault-tolerant
+  // execution, ref [11]).
+  return nodes[attempt_count(rec.record_id) % nodes.size()];
+}
+
+void NodeRuntime::fail_agent(const QueueRecord& rec, Status status) {
   trace(TraceKind::msg, "agent " + std::to_string(rec.agent.value()) +
                             " FAILED: " + status.to_string());
   const TxId cleanup = txm_.begin();
   qm_.stage_remove(cleanup, rec.record_id);
-  const auto image_key = agent_image_key(rec.agent);
-  if (storage_.has_record(image_key)) {
-    qm_.stage_record_erase(cleanup, image_key);
-  }
   // Multi-agent executions: a waiting parent learns of the failure
   // through the mailbox, within the same cleanup transaction.
-  auto failed = load_committed_agent(rec);
-  serial::Bytes final_bytes =
-      rec.payload.empty() ? encode_agent(*failed) : rec.payload;
-  const auto commit_begin = p_.sim().now();
-  deliver_result(
-      cleanup, *failed, /*ok=*/false, status,
-      [this, cleanup, rec, status, commit_begin,
-       final_bytes = std::move(final_bytes)](bool delivered) {
-        if (!delivered) {
-          txm_.abort_tx(cleanup);
-          release_slot(rec);
-          retry_later(rec);
-          return;
-        }
-        txm_.commit_async(cleanup, [this, rec, status, commit_begin,
-                                    final_bytes](bool committed) {
-          if (!committed) {
-            release_slot(rec);
-            retry_later(rec);
-            return;
-          }
-          AgentOutcome out;
-          out.state = AgentOutcome::State::failed;
-          out.status = status;
-          out.final_agent = final_bytes;
-          out.final_node = id_;
-          out.finished_at = p_.sim().now();
-          p_.record_outcome(rec.agent, std::move(out));
-          span_commit_flush(rec, commit_begin);
-          span_hop_end(rec);
-          attempts_.erase(rec.record_id);
-          release_slot(rec);
-          pump();
-        });
-      });
+  const auto failed = load_committed_agent(rec);
+  commit_terminal(cleanup, rec, *failed, AgentOutcome::State::failed,
+                  std::move(status), rec.payload);
 }
 
-void NodeRuntime::finish_agent(TxId tx, const QueueRecord& rec,
-                               Agent& agent) {
+void NodeRuntime::commit_terminal(TxId tx, const QueueRecord& rec,
+                                  const Agent& agent,
+                                  AgentOutcome::State state, Status status,
+                                  serial::Bytes final_image) {
   evict_resident(rec.agent);
   const auto image_key = agent_image_key(rec.agent);
   if (storage_.has_record(image_key)) qm_.stage_record_erase(tx, image_key);
-  serial::Bytes final_bytes = encode_agent(agent);
+  AgentOutcome out;
+  out.state = state;
+  out.status = status;
+  out.final_agent =
+      final_image.empty() ? encode_agent(agent) : std::move(final_image);
+  out.final_node = id_;
   const auto commit_begin = p_.sim().now();
   // Multi-agent executions: the result is delivered to the parent's
-  // mailbox within this final step transaction — exactly once.
+  // mailbox within this terminal transaction — exactly once.
   deliver_result(
-      tx, agent, /*ok=*/true, Status::ok(),
-      [this, tx, rec, commit_begin,
-       final_bytes = std::move(final_bytes)](bool delivered) {
+      tx, agent, state == AgentOutcome::State::done, status,
+      [this, tx, rec, commit_begin, out = std::move(out)](bool delivered) {
         if (!delivered) {
           txm_.abort_tx(tx);
           release_slot(rec);
@@ -787,19 +693,19 @@ void NodeRuntime::finish_agent(TxId tx, const QueueRecord& rec,
           return;
         }
         txm_.commit_async(tx, [this, rec, commit_begin,
-                               final_bytes = std::move(
-                                   final_bytes)](bool ok) {
+                               out](bool ok) mutable {
           if (!ok) {
             release_slot(rec);
             retry_later(rec);
             return;
           }
-          trace(TraceKind::step_commit,
-                "agent " + std::to_string(rec.agent.value()) + " completed");
-          AgentOutcome out;
-          out.state = AgentOutcome::State::done;
-          out.final_agent = final_bytes;
-          out.final_node = id_;
+          // A failure was traced when it was decided (fail_agent).
+          const auto agent_id = std::to_string(rec.agent.value());
+          if (out.state == AgentOutcome::State::done) {
+            trace(TraceKind::step_commit, "agent " + agent_id + " completed");
+          } else if (out.state == AgentOutcome::State::cancelled) {
+            trace(TraceKind::rollback_done, "agent " + agent_id + " CANCELLED");
+          }
           out.finished_at = p_.sim().now();
           p_.record_outcome(rec.agent, std::move(out));
           span_commit_flush(rec, commit_begin);
@@ -854,49 +760,6 @@ void NodeRuntime::deliver_result(TxId tx, const Agent& agent, bool ok,
       done(false);
     });
   }
-}
-
-void NodeRuntime::finish_cancelled(TxId tx, const QueueRecord& rec,
-                                   Agent& agent) {
-  evict_resident(rec.agent);
-  const auto image_key = agent_image_key(rec.agent);
-  if (storage_.has_record(image_key)) qm_.stage_record_erase(tx, image_key);
-  serial::Bytes final_bytes = encode_agent(agent);
-  const auto commit_begin = p_.sim().now();
-  deliver_result(
-      tx, agent, /*ok=*/false, Status(Errc::tx_aborted, "cancelled"),
-      [this, tx, rec, commit_begin,
-       final_bytes = std::move(final_bytes)](bool delivered) {
-        if (!delivered) {
-          txm_.abort_tx(tx);
-          release_slot(rec);
-          retry_later(rec);
-          return;
-        }
-        txm_.commit_async(tx, [this, rec, commit_begin,
-                               final_bytes =
-                                   std::move(final_bytes)](bool ok) {
-          if (!ok) {
-            release_slot(rec);
-            retry_later(rec);
-            return;
-          }
-          trace(TraceKind::rollback_done,
-                "agent " + std::to_string(rec.agent.value()) + " CANCELLED");
-          AgentOutcome out;
-          out.state = AgentOutcome::State::cancelled;
-          out.status = Status(Errc::tx_aborted, "cancelled");
-          out.final_agent = final_bytes;
-          out.final_node = id_;
-          out.finished_at = p_.sim().now();
-          p_.record_outcome(rec.agent, std::move(out));
-          span_commit_flush(rec, commit_begin);
-          span_hop_end(rec);
-          attempts_.erase(rec.record_id);
-          release_slot(rec);
-          pump();
-        });
-      });
 }
 
 // ---------------------------------------------------------------------------
@@ -959,14 +822,12 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
               ctx.permanent_status().to_string());
     const auto plan = failure_plan_for(*pre_agent);
     if (!plan.has_value()) {
-      const TxId dummy = txm_.begin();
-      fail_agent(dummy, rec, ctx.permanent_status());
+      fail_agent(rec, ctx.permanent_status());
       return;
     }
     const auto check = check_rollback_target(*pre_agent, plan->target);
     if (!check.is_ok()) {
-      const TxId dummy = txm_.begin();
-      fail_agent(dummy, rec, check);
+      fail_agent(rec, check);
       return;
     }
     trace(TraceKind::rollback_begin,
@@ -988,8 +849,7 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     txm_.abort_tx(tx);
     trace(TraceKind::step_abort, step.method + " (rollback requested)");
     if (!target.is_ok()) {
-      const TxId dummy = txm_.begin();
-      fail_agent(dummy, rec, target.status());
+      fail_agent(rec, target.status());
       return;
     }
     trace(TraceKind::rollback_begin,
@@ -1121,27 +981,16 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     if (p_.spans().enabled()) {
       // The step body plus its modeled service time — the hop's
       // step-exec phase (the commit phase starts right here).
-      Span se;
-      se.trace_id = rec.trace_id;
-      se.span_id = p_.spans().next_id();
-      se.parent = rec.hop_span_id;
-      se.kind = SpanKind::step_exec;
-      se.node = id_.value();
-      se.agent = rec.agent.value();
-      se.begin_us = exec_begin;
-      se.end_us = p_.sim().now();
-      p_.spans().record(std::move(se));
+      record_span(rec, SpanKind::step_exec, exec_begin);
     }
     if (agent->run_state() == Agent::RunState::done) {
-      finish_agent(tx, rec, *agent);
+      commit_terminal(tx, rec, *agent, AgentOutcome::State::done,
+                      Status::ok());
       return;
     }
-    // Route to the next step's node; rotate through the alternatives on
-    // repeated failures (fault-tolerant execution, ref [11]).
-    const StepEntry next_step = agent->itinerary().step_at(agent->position());
-    const auto attempt = attempt_count(rec.record_id);
-    const NodeId dest =
-        next_step.locations[attempt % next_step.locations.size()];
+    // Route to the next step's node.
+    const NodeId dest = pick_node(
+        rec, agent->itinerary().step_at(agent->position()).locations);
     // The hot path: when the agent stays on this node, commit only the
     // step's delta into its append-only stable record — O(changed state)
     // instead of O(total state). Spawning steps write a full image (the
@@ -1260,6 +1109,19 @@ const char* completion_suffix(QueueRecord::Completion c) {
   }
   return "";
 }
+
+/// Drop the trailing savepoints that are not `target` and report whether
+/// the rollback reached it. The dropped ones are dead: they belong to
+/// sub-itineraries being rolled back (this is the "tested before the agent
+/// is written to stable storage" of Fig. 4b, generalized to the nested
+/// case where several savepoints were established back-to-back).
+bool drop_to_target(rollback::RollbackLog& log, SavepointId target) {
+  while (!log.empty() && log.back().is_savepoint() &&
+         log.back().savepoint().id != target) {
+    (void)log.pop();
+  }
+  return log.trailing_savepoint() == target;
+}
 }  // namespace
 
 void NodeRuntime::initiate_rollback(const QueueRecord& rec,
@@ -1270,86 +1132,90 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
   qm_.stage_remove(tx, rec.record_id);
   evict_resident(rec.agent);
   std::shared_ptr<Agent> agent = load_committed_agent(rec);
-  auto& log = agent->log();
+  const bool cancel = completion == QueueRecord::Completion::cancel;
 
-  // Trailing savepoints that are not the target are dead: they belong to
-  // sub-itineraries being rolled back (this is the "tested before the
-  // agent is written to stable storage" of Fig. 4b, generalized to the
-  // nested case where several savepoints were established back-to-back).
-  while (!log.empty() && log.back().is_savepoint() &&
-         log.back().savepoint().id != target) {
-    (void)log.pop();
-  }
-
-  if (log.trailing_savepoint() == target) {
+  if (drop_to_target(agent->log(), target)) {
     // The savepoint was set directly before the aborting step: the
-    // rollback is already finished; start the next step transaction.
-    trace(TraceKind::rollback_done,
-          "savepoint SP_" + std::to_string(target.value()) +
-              " reached immediately");
-    agent->note_rollback_completed();
-    if (completion == QueueRecord::Completion::skip_sub &&
-        !apply_skip(*agent, target)) {
-      finish_agent(tx, rec, *agent);
-      return;
+    // rollback is already finished; start the next step transaction. A
+    // cancellation with nothing committed since launch terminates.
+    if (!cancel) {
+      trace(TraceKind::rollback_done,
+            "savepoint SP_" + std::to_string(target.value()) +
+                " reached immediately");
+      agent->note_rollback_completed();
     }
-    if (completion == QueueRecord::Completion::next_alt) {
-      apply_next_alternative(*agent, target);
-    }
-    const StepEntry step = agent->itinerary().step_at(agent->position());
-    const auto attempt = attempt_count(rec.record_id);
-    const NodeId dest = step.locations[attempt % step.locations.size()];
-    QueueRecord next_rec =
-        make_record(*agent, RecordKind::execute, SavepointId::invalid());
-    propagate_trace(rec, next_rec);
-    stage_and_commit(tx, dest, std::move(next_rec),
-                     [this, rec](bool committed) {
-                       release_slot(rec);
-                       if (committed) {
-                         span_hop_end(rec);
-                         attempts_.erase(rec.record_id);
-                         pump();
-                       } else {
-                         ++attempts_[rec.record_id];
-                         retry_later(rec);
-                       }
-                     });
+    rollback_reached(tx, rec, *agent, target, completion,
+                     /*trace_resume=*/false);
     return;
   }
 
   // Send the agent (or just the record, when it can stay) towards the
   // first compensation transaction.
-  const auto dests =
-      next_compensation_nodes(log, *agent, committed_agent_bytes(rec));
-  if (dests.empty()) {
-    fail_agent(tx, rec, Status(Errc::protocol_error,
-                               "rollback log has no end-of-step entry"));
+  route_compensation(tx, rec, *agent, target, completion,
+                     committed_agent_bytes(rec),
+                     cancel ? "cancel: rollback log has no end-of-step"
+                            : "rollback log has no end-of-step entry",
+                     cancel ? "cancel rollback" : nullptr);
+}
+
+void NodeRuntime::rollback_reached(TxId tx, const QueueRecord& rec,
+                                   Agent& agent, SavepointId target,
+                                   QueueRecord::Completion completion,
+                                   bool trace_resume) {
+  if (completion == QueueRecord::Completion::cancel) {
+    // Multi-agent executions: a complete rollback that terminates the
+    // agent instead of resuming it.
+    commit_terminal(tx, rec, agent, AgentOutcome::State::cancelled,
+                    Status(Errc::tx_aborted, "cancelled"));
     return;
   }
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = dests[attempt % dests.size()];
-  QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
+  if (completion == QueueRecord::Completion::skip_sub &&
+      !apply_skip(agent, target)) {
+    commit_terminal(tx, rec, agent, AgentOutcome::State::done, Status::ok());
+    return;
+  }
+  if (completion == QueueRecord::Completion::next_alt) {
+    apply_next_alternative(agent, target);
+  }
+  const NodeId dest =
+      pick_node(rec, agent.itinerary().step_at(agent.position()).locations);
+  QueueRecord next_rec =
+      make_record(agent, RecordKind::execute, SavepointId::invalid());
+  if (trace_resume && dest != id_) {
+    trace(TraceKind::migrate,
+          "agent " + std::to_string(rec.agent.value()) + " -> N" +
+              std::to_string(dest.value()) + " (resume)");
+  }
+  hand_off(tx, dest, std::move(next_rec), rec);
+}
+
+void NodeRuntime::route_compensation(TxId tx, const QueueRecord& rec,
+                                     const Agent& agent, SavepointId target,
+                                     QueueRecord::Completion completion,
+                                     std::size_t agent_bytes,
+                                     const char* exhausted,
+                                     const char* transfer_note) {
+  const auto dests = next_compensation_nodes(agent.log(), agent, agent_bytes);
+  if (dests.empty()) {
+    txm_.abort_tx(tx);
+    fail_agent(rec, Status(Errc::protocol_error, exhausted));
+    return;
+  }
+  const NodeId dest = pick_node(rec, dests);
+  QueueRecord comp_rec = make_record(agent, RecordKind::compensate, target);
   comp_rec.completion = completion;
-  propagate_trace(rec, comp_rec);
   if (dest != id_) {
     ++p_.rollback_transfers();
     trace(TraceKind::migrate,
           "agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (rollback, " +
-              std::to_string(comp_rec.payload.size()) + " bytes)");
+              std::to_string(dest.value()) + " (" +
+              (transfer_note != nullptr
+                   ? std::string(transfer_note)
+                   : "rollback, " + std::to_string(comp_rec.payload.size()) +
+                         " bytes") +
+              ")");
   }
-  stage_and_commit(tx, dest, std::move(comp_rec),
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  hand_off(tx, dest, std::move(comp_rec), rec);
 }
 
 std::vector<NodeId> NodeRuntime::next_compensation_nodes(
@@ -1429,8 +1295,9 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     (void)log.pop();
   }
   if (log.empty() || log.back().kind() != EntryKind::end_of_step) {
-    fail_agent(tx, rec, Status(Errc::protocol_error,
-                               "malformed rollback log (no EOS)"));
+    txm_.abort_tx(tx);
+    fail_agent(rec, Status(Errc::protocol_error,
+                           "malformed rollback log (no EOS)"));
     return;
   }
   const rollback::EndOfStepEntry eos = log.pop().end_of_step();
@@ -1459,15 +1326,15 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     trace(TraceKind::comp_abort, st.to_string());
     const auto attempts = ++attempts_[rec.record_id];
     const auto max = p_.config().max_compensation_attempts;
+    txm_.abort_tx(tx);
     if (max > 0 && attempts >= max) {
       // Sec. 3.2: some compensations cannot succeed (e.g. the withdrawn
       // deposit); surface the permanently failed rollback to the owner.
-      fail_agent(tx, rec,
+      fail_agent(rec,
                  Status(Errc::compensation_failed,
                         "compensation permanently failed: " + st.to_string()));
       return;
     }
-    txm_.abort_tx(tx);
     release_slot(rec);
     retry_later(rec);
   };
@@ -1625,16 +1492,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
 void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
                                       std::shared_ptr<Agent> agent) {
   const SavepointId target = rec.rollback_target;
-  auto& log = agent->log();
-
-  // Dead trailing savepoints (inner sub-itineraries being rolled across)
-  // are dropped before the target check — see initiate_rollback.
-  while (!log.empty() && log.back().is_savepoint() &&
-         log.back().savepoint().id != target) {
-    (void)log.pop();
-  }
-
-  if (log.trailing_savepoint() == target) {
+  if (drop_to_target(agent->log(), target)) {
     // Target reached: restore the strongly reversible objects from the
     // savepoint entry (without deleting it) and start the next step.
     restore_at_savepoint(*agent, target);
@@ -1642,86 +1500,17 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
           "agent " + std::to_string(rec.agent.value()) + " rolled back to SP_" +
               std::to_string(target.value()) +
               completion_suffix(rec.completion));
-    if (rec.completion == QueueRecord::Completion::cancel) {
-      // Multi-agent executions: a complete rollback that terminates the
-      // agent instead of resuming it.
-      finish_cancelled(tx, rec, *agent);
-      return;
-    }
-    if (rec.completion == QueueRecord::Completion::skip_sub &&
-        !apply_skip(*agent, target)) {
-      finish_agent(tx, rec, *agent);
-      return;
-    }
-    if (rec.completion == QueueRecord::Completion::next_alt) {
-      apply_next_alternative(*agent, target);
-    }
-    const StepEntry step = agent->itinerary().step_at(agent->position());
-    const auto attempt = attempt_count(rec.record_id);
-    const NodeId dest = step.locations[attempt % step.locations.size()];
-    QueueRecord next_rec =
-        make_record(*agent, RecordKind::execute, SavepointId::invalid());
-    propagate_trace(rec, next_rec);
-    if (dest != id_) {
-      trace(TraceKind::migrate,
-            "agent " + std::to_string(rec.agent.value()) + " -> N" +
-                std::to_string(dest.value()) + " (resume)");
-    }
-    stage_and_commit(tx, dest, std::move(next_rec),
-                     [this, rec](bool committed) {
-                       release_slot(rec);
-                       if (committed) {
-                         trace(TraceKind::comp_commit, "CT committed");
-                         span_hop_end(rec);
-                         attempts_.erase(rec.record_id);
-                         pump();
-                       } else {
-                         trace(TraceKind::comp_abort,
-                               "commit failed (will retry)");
-                         ++attempts_[rec.record_id];
-                         retry_later(rec);
-                       }
-                     });
+    rollback_reached(tx, rec, *agent, target, rec.completion,
+                     /*trace_resume=*/true);
     return;
   }
 
   // Not there yet: write the agent (and log) towards the next compensation
   // transaction (Fig. 4b), or keep it local when the optimized algorithm
   // can ship the next step's RCEs (Fig. 5b).
-  const auto dests = next_compensation_nodes(log, *agent, rec.payload.size());
-  if (dests.empty()) {
-    fail_agent(tx, rec,
-               Status(Errc::protocol_error,
-                      "target savepoint not reached but log is exhausted"));
-    return;
-  }
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = dests[attempt % dests.size()];
-  QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
-  comp_rec.completion = rec.completion;
-  propagate_trace(rec, comp_rec);
-  if (dest != id_) {
-    ++p_.rollback_transfers();
-    trace(TraceKind::migrate,
-          "agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (rollback, " +
-              std::to_string(comp_rec.payload.size()) + " bytes)");
-  }
-  stage_and_commit(tx, dest, std::move(comp_rec),
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       trace(TraceKind::comp_commit, "CT committed");
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       trace(TraceKind::comp_abort,
-                             "commit failed (will retry)");
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  route_compensation(tx, rec, *agent, target, rec.completion,
+                     rec.payload.size(),
+                     "target savepoint not reached but log is exhausted");
 }
 
 bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {

@@ -107,8 +107,6 @@ class NodeRuntime {
   /// rollback (to the oldest savepoint in its log) that terminates it, or
   /// let it run on if the log no longer reaches back to launch.
   void execute_cancel(const storage::QueueRecord& rec);
-  void initiate_cancel_rollback(const storage::QueueRecord& rec,
-                                SavepointId target);
 
   // --- step machinery -----------------------------------------------------------
   /// After the step body ran: append log entries, write savepoints,
@@ -119,9 +117,31 @@ class NodeRuntime {
   /// chooses what happens when the savepoint is reached: resume,
   /// abandon the sub-itinerary (Sec. 5), terminate as cancelled
   /// (Sec. 6), or enter the next alternative (ref [14]).
+  ///
+  /// The rollback loop (Fig. 4/5) has one driver: this initiation and
+  /// every compensation transaction (finish_compensation) drop dead
+  /// savepoints, then either dispatch the completion (rollback_reached)
+  /// or route the compensate record on (route_compensation).
   void initiate_rollback(const storage::QueueRecord& rec, SavepointId target,
-                         storage::QueueRecord::Completion completion =
-                             storage::QueueRecord::Completion::resume);
+                         storage::QueueRecord::Completion completion);
+  /// The rollback reached `target`: terminate a cancelled agent, abandon
+  /// the sub-itinerary or enter the next alternative as `completion`
+  /// says, and route the agent to its next step. `trace_resume` traces
+  /// that routing as a migration when it leaves the node.
+  void rollback_reached(TxId tx, const storage::QueueRecord& rec,
+                        Agent& agent, SavepointId target,
+                        storage::QueueRecord::Completion completion,
+                        bool trace_resume);
+  /// The target is not reached yet: route a compensate record to the next
+  /// compensation transaction's node. `agent_bytes` prices the adaptive
+  /// strategy's decision; `exhausted` is the failure text when the log has
+  /// no step left to compensate; `transfer_note` replaces the transfer
+  /// trace's "rollback, <n> bytes" note when non-null.
+  void route_compensation(TxId tx, const storage::QueueRecord& rec,
+                          const Agent& agent, SavepointId target,
+                          storage::QueueRecord::Completion completion,
+                          std::size_t agent_bytes, const char* exhausted,
+                          const char* transfer_note = nullptr);
   /// Resolve a rollback request against the (pre-step) agent state.
   [[nodiscard]] Result<SavepointId> resolve_rollback_target(
       const Agent& agent, const RollbackRequest& request) const;
@@ -157,7 +177,8 @@ class NodeRuntime {
   /// map, or a shipped snapshot; null for pure resource entries).
   Status run_comp_op(TxId tx, const rollback::OperationEntry& op,
                      serial::Value* weak);
-  /// Finish a compensation transaction: target check, restore, routing.
+  /// Finish a compensation transaction: target check, restore, routing
+  /// (the compensation side of the rollback driver).
   void finish_compensation(TxId tx, const storage::QueueRecord& rec,
                            std::shared_ptr<Agent> agent);
   void restore_at_savepoint(Agent& agent, SavepointId target);
@@ -180,13 +201,29 @@ class NodeRuntime {
   /// optional timeout (config.stage_timeout_us).
   void stage_and_commit(TxId tx, NodeId dest, storage::QueueRecord record,
                         std::function<void(bool)> done);
+  /// Hand the agent on: stage `next` into `dest`'s queue and commit `tx`,
+  /// which consumes `rec`. On commit the slot is released, the hop span
+  /// closed and the attempt count cleared; on abort the record is retried
+  /// later. A compensate record's outcome is traced as the CT's.
+  void hand_off(TxId tx, NodeId dest, storage::QueueRecord next,
+                const storage::QueueRecord& rec);
+  /// The node this attempt at `rec` goes to: rotates through `nodes` as
+  /// attempts fail.
+  [[nodiscard]] NodeId pick_node(const storage::QueueRecord& rec,
+                                 const std::vector<NodeId>& nodes) const;
   void retry_later(const storage::QueueRecord& rec);
-  void fail_agent(TxId tx, const storage::QueueRecord& rec, Status status);
-  void finish_agent(TxId tx, const storage::QueueRecord& rec, Agent& agent);
-  /// Terminate a cancelled agent after its complete rollback (multi-agent
-  /// executions): record the `cancelled` outcome and notify the mailbox.
-  void finish_cancelled(TxId tx, const storage::QueueRecord& rec,
-                        Agent& agent);
+  /// Terminate the agent as failed in a cleanup transaction. The caller
+  /// has aborted the transaction that was working on `rec`.
+  void fail_agent(const storage::QueueRecord& rec, Status status);
+  /// The terminal transaction of an agent (done, cancelled or failed):
+  /// erase its durable image, deliver its result, commit `tx` (which
+  /// already removes `rec`), then record the outcome, close the hop and
+  /// free the slot. A failed delivery or commit retries the record.
+  /// `final_image` is the agent's final image if the caller holds it
+  /// encoded; empty encodes `agent`.
+  void commit_terminal(TxId tx, const storage::QueueRecord& rec,
+                       const Agent& agent, AgentOutcome::State state,
+                       Status status, serial::Bytes final_image = {});
   /// Deliver an agent's result record to its result mailbox within `tx`
   /// (locally or by transactional RPC), then run `done(ok)`.
   void deliver_result(TxId tx, const Agent& agent, bool ok,
@@ -247,6 +284,10 @@ class NodeRuntime {
   /// the commit-flush latency histogram. No-op when tracing is off.
   void span_commit_flush(const storage::QueueRecord& rec,
                          std::uint64_t begin_us);
+  /// Record a span of `kind` for `rec`'s hop on this node, from
+  /// `begin_us` to now: the hop span itself, or a fresh child of it.
+  void record_span(const storage::QueueRecord& rec, SpanKind kind,
+                   std::uint64_t begin_us, std::string note = {});
   /// Stamp the successor record with the current hop's causal context.
   void propagate_trace(const storage::QueueRecord& from,
                        storage::QueueRecord& to) const;

@@ -122,9 +122,8 @@ struct PlatformConfig {
   /// Convoy batching: remote stages decided toward the same destination
   /// within this window ride ONE convoy message (and their participant
   /// 2PC syncs coalesce, see group_commit_window). 1 sends immediately.
+  /// A partial convoy leaves ship::kConvoyFlushUs after its first entry.
   std::uint32_t ship_convoy_window = 1;
-  /// How long a convoy waits for further riders after its first entry.
-  sim::TimeUs ship_convoy_flush_us = 200;
 
   /// Incremental durability (the Sec. 4.2 transition-logging idea applied
   /// to the commit path itself): when an agent's next step runs on the
@@ -157,11 +156,9 @@ struct PlatformConfig {
   /// 0 disables checkpoints (recovery replays the whole retained log —
   /// the unbounded-replay baseline bench_a8/e6 measure against). Off by
   /// default: the periodic O(state) snapshot writes would skew
-  /// steady-state byte meters (A5); recovery-focused runs opt in.
+  /// steady-state byte meters (A5); recovery-focused runs opt in. Each
+  /// checkpoint completes tx::kCheckpointWriteUs after it begins.
   std::size_t checkpoint_interval_bytes = 0;
-  /// Simulated time between checkpoint begin and completion (the fuzzy
-  /// window during which commits keep flowing).
-  sim::TimeUs checkpoint_write_us = 500;
   /// Crash-time storage damage injected on every node-down transition
   /// (tests / CI fault matrix). none leaves crashes clean.
   storage::StorageFault storage_fault = storage::StorageFault::none;
@@ -198,7 +195,8 @@ struct PlatformConfig {
   /// bench_a4 wall time, measured by that bench's `overhead` phase.
   bool span_tracing = true;
   /// Flight recorder: retained spans per node (ring buffer); oldest spans
-  /// fall off beyond this.
+  /// fall off beyond this. At least 1 (span_tracing = false turns
+  /// recording off).
   std::size_t flight_recorder_spans = 4096;
   /// When non-empty, a node that crashes or throws CorruptionError /
   /// LockAuditError appends its retained span ring to this file as JSONL

@@ -200,7 +200,7 @@ void ShipmentManager::stage_remote(TxId tx, NodeId dest,
     // round trip — which re-ships the FULL image, so the transfer term is
     // sized from the payload even when the first frame is a small delta.
     const auto wire = std::max(p.frame.size(), p.record.payload.size());
-    const auto timeout = cfg.stage_timeout_us + cfg.ship_convoy_flush_us +
+    const auto timeout = cfg.stage_timeout_us + kConvoyFlushUs +
                          4 * p_.net().transfer_time(self_, dest, wire);
     after(timeout, [this, tx] { timeout_pending(tx); });
   }
@@ -217,7 +217,7 @@ void ShipmentManager::arm_flush(NodeId dest) {
   if (flush_armed_.contains(dest)) return;
   flush_armed_.insert(dest);
   const auto gen = flush_gen_[dest];
-  after(p_.config().ship_convoy_flush_us, [this, dest, gen] {
+  after(kConvoyFlushUs, [this, dest, gen] {
     // A window-full flush in the meantime bumped the generation: this
     // timer must not cut the NEXT partial convoy's dwell time short.
     if (gen != flush_gen_[dest]) return;

@@ -58,6 +58,10 @@ inline constexpr const char* convoy = "ship.convoy";
 inline constexpr const char* convoy_ack = "ship.convoy_ack";
 }  // namespace msg
 
+/// How long a partial convoy waits for further riders after its first
+/// entry (see PlatformConfig::ship_convoy_window).
+inline constexpr sim::TimeUs kConvoyFlushUs = 200;
+
 /// Per-node shipping counters (A7 reports these). Relaxed atomics, like
 /// StorageStats: safe to sample from a monitor thread while the world runs.
 struct ShipStats {

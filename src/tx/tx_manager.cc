@@ -229,7 +229,7 @@ void TxManager::maybe_begin_checkpoint() {
   // The epoch guard makes a crash inside the window abandon the attempt —
   // the previous checkpoint generation stays the recovery base.
   const auto epoch = epoch_;
-  sim_.schedule_after(checkpoint_write_us_, [this, epoch] {
+  sim_.schedule_after(kCheckpointWriteUs, [this, epoch] {
     if (epoch != epoch_) return;
     if (stable_.complete_checkpoint()) trace_pipeline("ckpt_done", TxId(0));
   });

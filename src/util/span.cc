@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace mar {
 
 std::string_view to_string(SpanKind k) {
@@ -61,6 +63,9 @@ void SpanSink::record(Span span) {
 }
 
 void SpanSink::set_capacity(std::size_t cap) {
+  // A ring of zero slots has nowhere to put a span; span_tracing = false
+  // is how recording is turned off.
+  MAR_CHECK_MSG(cap > 0, "span ring capacity must be at least 1");
   capacity_ = cap;
   rings_.clear();
 }

@@ -73,8 +73,8 @@ class SpanSink {
 
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-  /// Per-node ring capacity; oldest spans fall off beyond it. Resets
-  /// the retained rings — configure before recording.
+  /// Per-node ring capacity (at least 1); oldest spans fall off beyond
+  /// it. Resets the retained rings — configure before recording.
   void set_capacity(std::size_t cap);
 
   [[nodiscard]] std::size_t size() const;

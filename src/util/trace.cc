@@ -1,7 +1,6 @@
 #include "util/trace.h"
 
 #include <iomanip>
-#include <iostream>
 
 namespace mar {
 
@@ -37,11 +36,6 @@ void TraceSink::emit(std::uint64_t time_us, TraceKind kind, std::uint32_t node,
                      std::string detail) {
   const std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(TraceEvent{time_us, kind, node, std::move(detail)});
-  if (echo_) {
-    const auto& e = events_.back();
-    std::cerr << "[t=" << e.time_us << "us N" << e.node << "] "
-              << to_string(e.kind) << " " << e.detail << "\n";
-  }
 }
 
 void TraceSink::clear() {

@@ -79,13 +79,9 @@ class TraceSink {
   /// Render the whole trace, one event per line.
   void print(std::ostream& os) const;
 
-  /// Whether to also stream events to stderr as they happen (debugging).
-  void set_echo(bool on) { echo_ = on; }
-
  private:
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
-  bool echo_ = false;
 };
 
 }  // namespace mar

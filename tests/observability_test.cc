@@ -359,5 +359,15 @@ TEST(FlightRecorderTest, RingCapacityBoundsRetainedSpans) {
   EXPECT_GT(w.platform.spans().size(), 0u);
 }
 
+TEST(FlightRecorderTest, ZeroCapacityIsRejected) {
+  // A zero-slot ring has nowhere to put the first span; turning recording
+  // off is span_tracing's job.
+  SpanSink sink;
+  EXPECT_THROW(sink.set_capacity(0), LogicError);
+  PlatformConfig cfg;
+  cfg.flight_recorder_spans = 0;
+  EXPECT_THROW(TestWorld w(cfg), LogicError);
+}
+
 }  // namespace
 }  // namespace mar

@@ -7,6 +7,8 @@
 // a crash, hang, or unchecked exception type) fails the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/agents.h"
 #include "harness/world.h"
 #include "resource/mailbox.h"
@@ -62,6 +64,31 @@ TEST(FuzzDecode, SampleAgentRoundTrips) {
   EXPECT_EQ(agent->data().weak("cash").as_int(), 123);
   EXPECT_EQ(agent->log().size(), 3u);
   EXPECT_EQ(agent::encode_agent(*agent), bytes);  // canonical encoding
+}
+
+TEST(FuzzDecode, StepWithoutLocationsIsRejected) {
+  // Encode a one-step agent, then rewrite its step's location list from
+  // one node to none. The rest of the image still parses, so only the
+  // empty-list check can reject it.
+  auto agent = std::make_unique<WorkloadAgent>();
+  Itinerary sub;
+  sub.step("zz_step", TestWorld::n(7));
+  Itinerary main;
+  main.sub(std::move(sub));
+  agent->itinerary() = std::move(main);
+  auto bytes = agent::encode_agent(*agent);
+  const std::string method = "zz_step";
+  serial::Bytes needle{static_cast<std::uint8_t>(method.size())};
+  needle.insert(needle.end(), method.begin(), method.end());
+  needle.insert(needle.end(), {1, 7, 0, 0, 0});  // count 1, node u32 LE
+  const auto at = std::search(bytes.begin(), bytes.end(), needle.begin(),
+                              needle.end());
+  ASSERT_NE(at, bytes.end());
+  const auto count = at + 1 + static_cast<long>(method.size());
+  *count = 0;
+  bytes.erase(count + 1, count + 5);
+  const auto reg = registry_with_workload();
+  EXPECT_THROW((void)agent::decode_agent(reg, bytes), serial::DecodeError);
 }
 
 TEST(FuzzDecode, EveryTruncationThrowsOrDecodes) {
