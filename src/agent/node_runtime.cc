@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "contract/contract.h"
 #include "resource/lock_audit.h"
@@ -21,7 +22,8 @@ using storage::RecordKind;
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
     : p_(platform), id_(id), qm_(storage_), rm_(storage_),
       txm_(id, platform.sim(), platform.net(), storage_),
-      ship_(platform, id, txm_, qm_, storage_) {
+      timers_(platform.sim()),
+      ship_(platform, id, timers_, txm_, qm_, storage_) {
   txm_.register_participant(qm_);
   txm_.register_participant(rm_);
   txm_.set_apply_listener([this] {
@@ -264,13 +266,6 @@ QueueRecord NodeRuntime::make_record(const Agent& agent, RecordKind kind,
   return rec;
 }
 
-void NodeRuntime::after(sim::TimeUs delay, std::function<void()> fn) {
-  const auto epoch = epoch_;
-  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)] {
-    if (epoch == epoch_) fn();
-  });
-}
-
 void NodeRuntime::enqueue_initial(QueueRecord record) {
   record.enqueued_us = p_.sim().now();
   storage_.enqueue(std::move(record));
@@ -288,7 +283,7 @@ void NodeRuntime::pump() {
     MAR_CHECK(qm_.claim(record_id));
     slots_.insert(record_id);
     busy_agents_.insert(next->agent);
-    after(0, [this, record_id] { process_record(record_id); });
+    timers_.after(0, [this, record_id] { process_record(record_id); });
   }
 }
 
@@ -385,8 +380,7 @@ void NodeRuntime::execute_cancel(const QueueRecord& rec) {
 
 void NodeRuntime::retry_later(const QueueRecord& rec) {
   const auto backoff =
-      p_.config().retry_backoff_us +
-      p_.rng().next_below(p_.config().retry_backoff_us + 1);
+      tx::kRetryBackoffUs + p_.rng().next_below(tx::kRetryBackoffUs + 1);
   // The abort -> re-claim window is the hop's lock-wait phase. The open
   // hop span rode this attempt's record copy; stash it so the re-claim
   // (a fresh copy of the queued original) can resume the same span and
@@ -399,14 +393,15 @@ void NodeRuntime::retry_later(const QueueRecord& rec) {
       ht.lock_wait_since = p_.sim().now();
     }
   }
-  after(backoff, [this] { pump(); });
+  timers_.after(backoff, [this] { pump(); });
 }
 
 void NodeRuntime::on_node_state(bool up) {
-  // The epoch bump cancels every pending continuation; the slot and claim
-  // wipes invalidate all in-flight executions at once. Their records are
-  // still queued (removal only commits), so recovery re-offers them.
-  ++epoch_;
+  // Invalidating the timers cancels every pending continuation; the slot
+  // and claim wipes invalidate all in-flight executions at once. Their
+  // records are still queued (removal only commits), so recovery re-offers
+  // them.
+  timers_.invalidate();
   up_ = up;
   if (!up) flight_dump("crash");  // post-mortem before volatile state goes
   slots_.clear();
@@ -414,9 +409,7 @@ void NodeRuntime::on_node_state(bool up) {
   resident_.clear();  // volatile cache; recovery decodes from the record area
   hop_traces_.clear();  // re-offered records open fresh hop spans
   storage_.clear_claims();
-  rce_waiters_.clear();
-  mce_waiters_.clear();
-  rpc_waiters_.clear();
+  replies_.clear();
   ship_.on_node_state(up);
   if (up) {
     // Rebuild the record read path BEFORE the tx layer re-drives decided
@@ -480,72 +473,35 @@ void NodeRuntime::handle_message(const net::Message& m) {
     return;
   }
   serial::Decoder dec(m.payload);
-  if (m.type == msg::rce_exec) {
-    // Shipped resource compensation entries (optimized algorithm): run
-    // them here inside the coordinator's compensation transaction.
+  if (m.type == msg::rce_exec || m.type == msg::mce_exec) {
+    // Shipped compensation entries, run here inside the coordinator's
+    // compensation transaction: an RCE list (optimized algorithm), or a
+    // mixed step's entries plus the agent's weak-state snapshot (mce.exec,
+    // adaptive strategy, Sec. 4.4.1). The weak-state mutations travel
+    // back with the ack and become durable only when the coordinator
+    // commits, so a lost reply or an abort discards them.
     const TxId tx(dec.read_u64());
-    const auto n = dec.read_count();
-    std::vector<OperationEntry> ops(n);
+    std::vector<OperationEntry> ops(dec.read_count());
     for (auto& op : ops) op.deserialize(dec);
+    std::optional<serial::Value> weak;
+    if (m.type == msg::mce_exec) weak.emplace().deserialize(dec);
     txm_.note_remote_staged(tx);
     const auto service =
         static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-    after(service, [this, tx, ops = std::move(ops), from = m.from] {
+    timers_.after(service, [this, tx, ops = std::move(ops),
+                            weak = std::move(weak), from = m.from]() mutable {
       Status st = Status::ok();
       for (const auto& op : ops) {
-        st = run_comp_op(tx, op, nullptr);
+        st = run_comp_op(tx, op, weak ? &*weak : nullptr);
         if (!st.is_ok()) break;
       }
-      serial::Encoder enc(8 + 1);
+      serial::Encoder enc(8 + 1 + (weak ? weak->encoded_size() : 0));
       enc.write_u64(tx.value());
       enc.write_bool(st.is_ok());
-      p_.net().send(
-          net::Message{id_, from, msg::rce_ack, std::move(enc).take()});
+      if (weak) weak->serialize(enc);
+      p_.net().send(net::Message{id_, from, weak ? msg::mce_ack : msg::rce_ack,
+                                 std::move(enc).take()});
     });
-    return;
-  }
-  if (m.type == msg::mce_exec) {
-    // Adaptive strategy (Sec. 4.4.1): a mixed step's complete operation
-    // entry list plus a snapshot of the agent's weakly reversible objects,
-    // executed here (the resource node) inside the coordinator's
-    // compensation transaction. The weak-state mutations travel back with
-    // the acknowledgement; they become durable only when the coordinator
-    // commits the transaction, so a lost reply or an abort discards them.
-    const TxId tx(dec.read_u64());
-    const auto n = dec.read_count();
-    std::vector<OperationEntry> ops(n);
-    for (auto& op : ops) op.deserialize(dec);
-    serial::Value weak;
-    weak.deserialize(dec);
-    txm_.note_remote_staged(tx);
-    const auto service =
-        static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-    after(service, [this, tx, ops = std::move(ops), weak = std::move(weak),
-                    from = m.from]() mutable {
-      Status st = Status::ok();
-      for (const auto& op : ops) {
-        st = run_comp_op(tx, op, &weak);
-        if (!st.is_ok()) break;
-      }
-      serial::Encoder enc(8 + 1 + weak.encoded_size());
-      enc.write_u64(tx.value());
-      enc.write_bool(st.is_ok());
-      weak.serialize(enc);
-      p_.net().send(
-          net::Message{id_, from, msg::mce_ack, std::move(enc).take()});
-    });
-    return;
-  }
-  if (m.type == msg::mce_ack) {
-    const TxId tx(dec.read_u64());
-    const bool ok = dec.read_bool();
-    serial::Value weak;
-    weak.deserialize(dec);
-    auto it = mce_waiters_.find(tx);
-    if (it == mce_waiters_.end()) return;  // timed out / duplicate
-    auto cb = std::move(it->second);
-    mce_waiters_.erase(it);
-    cb(ok, std::move(weak));
     return;
   }
   if (m.type == contract::msg::invoke) {
@@ -554,7 +510,7 @@ void NodeRuntime::handle_message(const net::Message& m) {
     auto req = contract::decode_invoke(m);
     txm_.note_remote_staged(req.tx);
     const auto service = p_.config().resource_op_service_us;
-    after(service, [this, req = std::move(req), from = m.from] {
+    timers_.after(service, [this, req = std::move(req), from = m.from] {
       Status st;
       if (req.comp_op.empty()) {
         st = rm_.invoke(req.tx, req.resource, req.op, req.params).status();
@@ -570,23 +526,9 @@ void NodeRuntime::handle_message(const net::Message& m) {
     });
     return;
   }
-  if (m.type == contract::msg::result) {
-    const auto [tx, status] = contract::decode_result(m);
-    auto it = rpc_waiters_.find(tx);
-    if (it == rpc_waiters_.end()) return;  // timed out / duplicate
-    auto cb = std::move(it->second);
-    rpc_waiters_.erase(it);
-    cb(status.is_ok());
-    return;
-  }
-  if (m.type == msg::rce_ack) {
-    const TxId tx(dec.read_u64());
-    const bool ok = dec.read_bool();
-    auto it = rce_waiters_.find(tx);
-    if (it == rce_waiters_.end()) return;
-    auto cb = std::move(it->second);
-    rce_waiters_.erase(it);
-    cb(ok);
+  if (m.type == msg::rce_ack || m.type == msg::mce_ack ||
+      m.type == contract::msg::result) {
+    take_reply(TxId(dec.read_u64()), &m);  // every reply leads with its tx
     return;
   }
   MAR_CHECK_MSG(false, "unknown message type " << m.type);
@@ -747,19 +689,62 @@ void NodeRuntime::deliver_result(TxId tx, const Agent& agent, bool ok,
   // this transaction (the Sec. 4.4.1 RPC mechanism) — delivery commits
   // atomically with the agent's terminal transaction.
   txm_.enlist_remote(tx, agent.result_node());
-  p_.net().send(net::Message{
-      id_, agent.result_node(), contract::msg::invoke,
-      contract::encode_invoke(tx, "mailbox", "put", params, "")});
-  rpc_waiters_[tx] = done;
-  if (p_.config().stage_timeout_us > 0) {
-    const auto timeout = p_.config().stage_timeout_us;
-    after(timeout, [this, tx, done] {
-      auto it = rpc_waiters_.find(tx);
-      if (it == rpc_waiters_.end()) return;
-      rpc_waiters_.erase(it);
-      done(false);
-    });
+  call(tx,
+       net::Message{id_, agent.result_node(), contract::msg::invoke,
+                    contract::encode_invoke(tx, "mailbox", "put", params, "")},
+       p_.config().stage_timeout_us,
+       [done = std::move(done)](const net::Message* reply) {
+         done(reply != nullptr &&
+              contract::decode_result(*reply).second.is_ok());
+       });
+}
+
+void NodeRuntime::call(TxId tx, net::Message request, sim::TimeUs timeout,
+                       std::function<void(const net::Message*)> on_reply) {
+  p_.net().send(std::move(request));
+  MAR_CHECK_MSG(replies_.emplace(tx, std::move(on_reply)).second,
+                "a reply for tx " << tx << " is already awaited");
+  if (timeout > 0) {
+    timers_.after(timeout, [this, tx] { take_reply(tx, nullptr); });
   }
+}
+
+void NodeRuntime::take_reply(TxId tx, const net::Message* reply) {
+  auto awaited = replies_.extract(tx);
+  if (awaited.empty()) return;  // timed out / duplicate
+  awaited.mapped()(reply);
+}
+
+void NodeRuntime::ship_comp_ops(
+    TxId tx, NodeId dest, const std::vector<OperationEntry>& ops,
+    const serial::Value* weak, std::function<void(serial::Decoder*)> on_ack) {
+  txm_.enlist_remote(tx, dest);
+  std::size_t frame = 8 + serial::varint_size(ops.size()) +
+                      (weak != nullptr ? weak->encoded_size() : 0);
+  for (const auto& op : ops) frame += op.byte_size();
+  serial::Encoder enc(frame);
+  enc.write_u64(tx.value());
+  enc.write_varint(ops.size());
+  for (const auto& op : ops) op.serialize(enc);
+  if (weak != nullptr) weak->serialize(enc);
+  const auto wire_bytes = enc.size();
+  trace(weak != nullptr ? TraceKind::mce_shipped : TraceKind::rce_shipped,
+        std::to_string(ops.size()) +
+            (weak != nullptr ? " OEs + weak state -> N" : " RCEs -> N") +
+            std::to_string(dest.value()) + " (" + std::to_string(wire_bytes) +
+            " bytes)");
+  const auto stage = p_.config().stage_timeout_us;
+  call(tx,
+       net::Message{id_, dest, weak != nullptr ? msg::mce_exec : msg::rce_exec,
+                    std::move(enc).take()},
+       stage == 0 ? 0
+                  : stage + 4 * p_.net().transfer_time(id_, dest, wire_bytes),
+       [on_ack = std::move(on_ack)](const net::Message* reply) {
+         if (reply == nullptr) return on_ack(nullptr);
+         serial::Decoder ack(reply->payload);
+         (void)ack.read_u64();  // tx
+         on_ack(&ack);
+       });
 }
 
 // ---------------------------------------------------------------------------
@@ -976,7 +961,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
   const auto service = static_cast<sim::TimeUs>(ctx.resource_ops_invoked()) *
                        p_.config().resource_op_service_us;
   const auto exec_begin = p_.sim().now();
-  after(service, [this, tx, rec, agent = std::move(agent), spawned,
+  timers_.after(service, [this, tx, rec, agent = std::move(agent), spawned,
                   exec_begin] {
     if (p_.spans().enabled()) {
       // The step body plus its modeled service time — the hop's
@@ -1345,43 +1330,20 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     // log order at one place — the resource node) together with a weak
     // snapshot; merge the updated weak state back on acknowledgement.
     ++p_.mixed_ships();
-    txm_.enlist_remote(tx, eos.node);
-    std::size_t frame = 8 + serial::varint_size(ops.size()) +
-                        agent->data().weak_image().encoded_size();
-    for (const auto& op : ops) frame += op.byte_size();
-    serial::Encoder enc(frame);
-    enc.write_u64(tx.value());
-    enc.write_varint(ops.size());
-    for (const auto& op : ops) op.serialize(enc);
-    agent->data().weak_image().serialize(enc);
-    const auto wire_bytes = enc.size();
-    trace(TraceKind::mce_shipped,
-          std::to_string(ops.size()) + " OEs + weak state -> N" +
-              std::to_string(eos.node.value()) + " (" +
-              std::to_string(wire_bytes) + " bytes)");
-    p_.net().send(
-        net::Message{id_, eos.node, msg::mce_exec, std::move(enc).take()});
-    mce_waiters_[tx] = [this, tx, rec, agent,
-                        comp_failed](bool ok, serial::Value weak) {
-      if (!ok) {
-        comp_failed(Status(Errc::compensation_failed,
-                           "shipped mixed compensation failed"));
-        return;
-      }
-      *agent->data().weak_slots() = std::move(weak);
-      finish_compensation(tx, rec, agent);
-    };
-    if (cfg.stage_timeout_us > 0) {
-      const auto timeout =
-          cfg.stage_timeout_us +
-          4 * p_.net().transfer_time(id_, eos.node, wire_bytes);
-      after(timeout, [this, tx, comp_failed] {
-        auto it = mce_waiters_.find(tx);
-        if (it == mce_waiters_.end()) return;
-        mce_waiters_.erase(it);
-        comp_failed(Status(Errc::unreachable, "mce shipment unacknowledged"));
-      });
-    }
+    ship_comp_ops(
+        tx, eos.node, ops, &agent->data().weak_image(),
+        [this, tx, rec, agent, comp_failed](serial::Decoder* ack) {
+          if (ack == nullptr) {
+            comp_failed(
+                Status(Errc::unreachable, "mce shipment unacknowledged"));
+          } else if (!ack->read_bool()) {
+            comp_failed(Status(Errc::compensation_failed,
+                               "shipped mixed compensation failed"));
+          } else {
+            agent->data().weak_slots()->deserialize(*ack);
+            finish_compensation(tx, rec, agent);
+          }
+        });
     return;
   }
 
@@ -1405,7 +1367,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     }
     const auto service =
         static_cast<sim::TimeUs>(ops.size()) * cfg.comp_op_service_us;
-    after(service, [this, tx, rec, agent = std::move(agent), st,
+    timers_.after(service, [this, tx, rec, agent = std::move(agent), st,
                     comp_failed] {
       if (!st.is_ok()) {
         comp_failed(st);
@@ -1444,37 +1406,12 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
 
   if (!rces.empty()) {
     ++join->pending;
-    txm_.enlist_remote(tx, eos.node);
-    std::size_t frame = 8 + serial::varint_size(rces.size());
-    for (const auto& op : rces) frame += op.byte_size();
-    serial::Encoder enc(frame);
-    enc.write_u64(tx.value());
-    enc.write_varint(rces.size());
-    for (const auto& op : rces) op.serialize(enc);
-    const auto wire_bytes = enc.size();
-    trace(TraceKind::rce_shipped,
-          std::to_string(rces.size()) + " RCEs -> N" +
-              std::to_string(eos.node.value()) + " (" +
-              std::to_string(wire_bytes) + " bytes)");
-    p_.net().send(
-        net::Message{id_, eos.node, msg::rce_exec, std::move(enc).take()});
-    rce_waiters_[tx] = [arrived](bool ok) {
-      arrived(ok ? Status::ok()
-                 : Status(Errc::compensation_failed,
-                          "shipped resource compensation failed"));
-    };
-    if (cfg.stage_timeout_us > 0) {
-      const auto timeout =
-          cfg.stage_timeout_us +
-          4 * p_.net().transfer_time(id_, eos.node, wire_bytes);
-      after(timeout, [this, tx] {
-        auto it = rce_waiters_.find(tx);
-        if (it == rce_waiters_.end()) return;
-        auto cb = std::move(it->second);
-        rce_waiters_.erase(it);
-        cb(false);
-      });
-    }
+    ship_comp_ops(tx, eos.node, rces, nullptr, [arrived](serial::Decoder* ack) {
+      arrived(ack != nullptr && ack->read_bool()
+                  ? Status::ok()
+                  : Status(Errc::compensation_failed,
+                           "shipped resource compensation failed"));
+    });
   }
 
   // Agent compensation entries run locally, overlapping the shipped RCEs.
@@ -1486,7 +1423,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
   }
   const auto ace_service =
       static_cast<sim::TimeUs>(aces.size()) * cfg.comp_op_service_us;
-  after(ace_service, [arrived, ace_status] { arrived(ace_status); });
+  timers_.after(ace_service, [arrived, ace_status] { arrived(ace_status); });
 }
 
 void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,

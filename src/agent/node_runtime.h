@@ -23,8 +23,10 @@
 // conflict, crash, vote-no, timeout — leaves the record in the queue; the
 // runtime retries after a backoff, possibly routing to an alternative
 // node, which is exactly the restartability the paper's correctness
-// argument relies on. A crash bumps the node's epoch, invalidating every
-// in-flight slot at once; recovery re-offers all queued records.
+// argument relies on. A crash invalidates the node's timers (sim::Timers,
+// shared with its ShipmentManager) and wipes its slots and reply table,
+// dropping every in-flight execution at once; recovery re-offers all
+// queued records.
 #pragma once
 
 #include <functional>
@@ -228,6 +230,22 @@ class NodeRuntime {
   /// (locally or by transactional RPC), then run `done(ok)`.
   void deliver_result(TxId tx, const Agent& agent, bool ok,
                       const Status& error, std::function<void(bool)> done);
+  /// Send `request` and run `on_reply` with its reply for `tx` (rce.ack,
+  /// mce.ack or ctr.result), or with nullptr once `timeout` passed without
+  /// one (0 waits forever). At most one reply per tx is awaited.
+  void call(TxId tx, net::Message request, sim::TimeUs timeout,
+            std::function<void(const net::Message*)> on_reply);
+  /// Hand `reply` (nullptr: timeout) to the call awaiting `tx`, if any.
+  void take_reply(TxId tx, const net::Message* reply);
+  /// Ship compensation entries to `dest` within `tx`: an rce.exec RCE
+  /// list, or — with the agent's weak-state snapshot `weak` — a mixed
+  /// step's entries (mce.exec). `on_ack` gets the ack positioned after
+  /// its tx, or nullptr when none came within the stage timeout plus four
+  /// transfer times.
+  void ship_comp_ops(TxId tx, NodeId dest,
+                     const std::vector<rollback::OperationEntry>& ops,
+                     const serial::Value* weak,
+                     std::function<void(serial::Decoder*)> on_ack);
 
   // --- incremental durability (delta savepoint commits) -----------------------
   /// The committed (pre-step) agent state of a record: its payload, or —
@@ -303,8 +321,6 @@ class NodeRuntime {
   [[nodiscard]] storage::QueueRecord make_record(
       const Agent& agent, storage::RecordKind kind,
       SavepointId rollback_target);
-  /// Schedule `fn` after `delay`, cancelled automatically by crash.
-  void after(sim::TimeUs delay, std::function<void()> fn);
 
   Platform& p_;
   NodeId id_;
@@ -312,12 +328,14 @@ class NodeRuntime {
   tx::QueueManager qm_;
   resource::ResourceManager rm_;
   tx::TxManager txm_;
+  /// Every timer of this runtime and its ShipmentManager; invalidated at
+  /// crash and recovery.
+  sim::Timers timers_;
   /// Owns all inter-node agent transfer: per-destination convoys, the
   /// base+delta channel caches, need_full fallback (src/ship/).
   ship::ShipmentManager ship_;
 
   bool up_ = true;
-  std::uint64_t epoch_ = 0;
   /// In-flight execution slots (claimed record ids). Capped at
   /// PlatformConfig::node_concurrency; cleared wholesale on crash.
   std::unordered_set<std::uint64_t> slots_;
@@ -344,15 +362,9 @@ class NodeRuntime {
   /// that leaves the steady local-commit loop; the record area stays
   /// authoritative.
   std::unordered_map<AgentId, std::shared_ptr<Agent>> resident_;
-  /// Continuations waiting for rce.ack, keyed by tx.
-  std::unordered_map<TxId, std::function<void(bool)>> rce_waiters_;
-  /// Continuations waiting for mce.ack; receive the updated weak-state
-  /// snapshot produced by the remotely executed mixed compensation.
-  std::unordered_map<TxId, std::function<void(bool, serial::Value)>>
-      mce_waiters_;
-  /// Continuations waiting for a transactional RPC reply (ctr.result),
-  /// e.g. remote result delivery into a mailbox.
-  std::unordered_map<TxId, std::function<void(bool)>> rpc_waiters_;
+  /// Calls awaiting their reply, keyed by tx (see call()).
+  std::unordered_map<TxId, std::function<void(const net::Message*)>>
+      replies_;
 };
 
 }  // namespace mar::agent

@@ -174,8 +174,6 @@ struct PlatformConfig {
   sim::TimeUs resource_op_service_us = 200;
   sim::TimeUs comp_op_service_us = 500;
 
-  /// Backoff before retrying an aborted step/compensation transaction.
-  sim::TimeUs retry_backoff_us = 25'000;
   /// Extra slack on top of the expected transfer time before an
   /// unacknowledged remote stage / RCE shipment is abandoned and the
   /// transaction retried (possibly on an alternative node). 0 disables

@@ -78,11 +78,12 @@ void ContractManager::remote_invoke(TxId tx, NodeId node,
                                     const std::string& resource,
                                     const std::string& op,
                                     const Value& params,
+                                    const std::string& comp_op,
                                     std::function<void(Status)> reply) {
   ++stats_.rpcs;
   txm_.enlist_remote(tx, node);
   net_.send(net::Message{self_, node, msg::invoke,
-                         encode_invoke(tx, resource, op, params, "")});
+                         encode_invoke(tx, resource, op, params, comp_op)});
   waiting_[tx] = std::move(reply);
 }
 
@@ -104,19 +105,19 @@ void ContractManager::run_step() {
   }
   const ScriptStep& step = script_[position_];
   const TxId tx = txm_.begin();
-  remote_invoke(tx, step.node, step.resource, step.op, step.params,
+  remote_invoke(tx, step.node, step.resource, step.op, step.params, "",
                 [this, tx](Status status) {
                   if (!status.is_ok()) {
                     ++stats_.tx_aborts;
                     txm_.abort_tx(tx);
-                    sim_.schedule_after(retry_backoff_us_,
+                    sim_.schedule_after(tx::kRetryBackoffUs,
                                         [this] { run_step(); });
                     return;
                   }
                   txm_.commit_async(tx, [this](bool committed) {
                     if (!committed) {
                       ++stats_.tx_aborts;
-                      sim_.schedule_after(retry_backoff_us_,
+                      sim_.schedule_after(tx::kRetryBackoffUs,
                                           [this] { run_step(); });
                       return;
                     }
@@ -144,20 +145,15 @@ void ContractManager::compensate_step(std::size_t remaining, Done done) {
     return;
   }
   const TxId tx = txm_.begin();
-  txm_.enlist_remote(tx, step.node);
-  ++stats_.rpcs;
-  net_.send(net::Message{self_, step.node, msg::invoke,
-                         encode_invoke(tx, step.resource, step.op,
-                                       step.comp_params, step.comp_op)});
-  waiting_[tx] = [this, tx, remaining,
-                  done = std::move(done)](Status status) mutable {
+  auto on_reply = [this, tx, remaining,
+                   done = std::move(done)](Status status) mutable {
     if (!status.is_ok()) {
       ++stats_.tx_aborts;
       txm_.abort_tx(tx);
       auto retry = [this, remaining, done = std::move(done)]() mutable {
         compensate_step(remaining, std::move(done));
       };
-      sim_.schedule_after(retry_backoff_us_, std::move(retry));
+      sim_.schedule_after(tx::kRetryBackoffUs, std::move(retry));
       return;
     }
     txm_.commit_async(tx, [this, remaining,
@@ -167,7 +163,7 @@ void ContractManager::compensate_step(std::size_t remaining, Done done) {
         auto retry = [this, remaining, done = std::move(done)]() mutable {
           compensate_step(remaining, std::move(done));
         };
-        sim_.schedule_after(retry_backoff_us_, std::move(retry));
+        sim_.schedule_after(tx::kRetryBackoffUs, std::move(retry));
         return;
       }
       ++stats_.steps_compensated;
@@ -175,6 +171,8 @@ void ContractManager::compensate_step(std::size_t remaining, Done done) {
       compensate_step(remaining - 1, std::move(done));
     });
   };
+  remote_invoke(tx, step.node, step.resource, step.op, step.comp_params,
+                step.comp_op, std::move(on_reply));
 }
 
 }  // namespace mar::contract

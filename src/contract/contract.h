@@ -94,9 +94,11 @@ class ContractManager {
  private:
   void run_step();
   void compensate_step(std::size_t remaining, Done done);
-  /// RPC a (possibly compensating) operation to a node within `tx`.
+  /// RPC an operation to a node within `tx`: the registered compensating
+  /// operation `comp_op` when non-empty, else `op` on `resource`.
   void remote_invoke(TxId tx, NodeId node, const std::string& resource,
                      const std::string& op, const Value& params,
+                     const std::string& comp_op,
                      std::function<void(Status)> reply);
 
   NodeId self_;
@@ -112,7 +114,6 @@ class ContractManager {
   Done done_;
   std::unordered_map<TxId, std::function<void(Status)>> waiting_;
   ContractStats stats_;
-  sim::TimeUs retry_backoff_us_ = 25'000;
 };
 
 /// Payload helpers shared with NodeRuntime's RPC endpoint.

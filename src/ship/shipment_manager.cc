@@ -127,16 +127,11 @@ void BaseCache::clear() {
 // ---------------------------------------------------------------------------
 
 ShipmentManager::ShipmentManager(agent::Platform& platform, NodeId self,
-                                 tx::TxManager& txm, tx::QueueManager& qm,
+                                 sim::Timers& timers, tx::TxManager& txm,
+                                 tx::QueueManager& qm,
                                  storage::StableStorage& storage)
-    : p_(platform), self_(self), txm_(txm), qm_(qm), storage_(storage) {}
-
-void ShipmentManager::after(sim::TimeUs delay, std::function<void()> fn) {
-  const auto epoch = run_epoch_;
-  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)] {
-    if (epoch == run_epoch_) fn();
-  });
-}
+    : p_(platform), self_(self), timers_(timers), txm_(txm), qm_(qm),
+      storage_(storage) {}
 
 void ShipmentManager::encode_frame(Pending& p) {
   const auto& cfg = p_.config();
@@ -202,33 +197,22 @@ void ShipmentManager::stage_remote(TxId tx, NodeId dest,
     const auto wire = std::max(p.frame.size(), p.record.payload.size());
     const auto timeout = cfg.stage_timeout_us + kConvoyFlushUs +
                          4 * p_.net().transfer_time(self_, dest, wire);
-    after(timeout, [this, tx] { timeout_pending(tx); });
+    timers_.after(timeout, [this, tx] { timeout_pending(tx); });
   }
   auto& queue = convoy_queue_[dest];
   queue.push_back(std::move(p));
+  auto& window = flush_windows_.try_emplace(dest, timers_, [this, dest] {
+    flush_convoy(dest);
+  }).first->second;
   if (queue.size() >= std::max<std::uint32_t>(1, cfg.ship_convoy_window)) {
+    window.disarm();  // the NEXT partial convoy gets its full dwell
     flush_convoy(dest);
   } else {
-    arm_flush(dest);
+    window.arm(kConvoyFlushUs);
   }
 }
 
-void ShipmentManager::arm_flush(NodeId dest) {
-  if (flush_armed_.contains(dest)) return;
-  flush_armed_.insert(dest);
-  const auto gen = flush_gen_[dest];
-  after(kConvoyFlushUs, [this, dest, gen] {
-    // A window-full flush in the meantime bumped the generation: this
-    // timer must not cut the NEXT partial convoy's dwell time short.
-    if (gen != flush_gen_[dest]) return;
-    flush_armed_.erase(dest);
-    flush_convoy(dest);
-  });
-}
-
 void ShipmentManager::flush_convoy(NodeId dest) {
-  ++flush_gen_[dest];
-  flush_armed_.erase(dest);
   auto it = convoy_queue_.find(dest);
   if (it == convoy_queue_.end() || it->second.empty()) return;
   auto batch = std::move(it->second);
@@ -434,16 +418,15 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
 
 void ShipmentManager::on_node_state(bool up) {
   (void)up;
-  // Every transition invalidates the channel world: timers die with the
-  // run epoch, in-flight shipments are dropped (their coordinator-side
-  // transactions resolve through 2PC recovery), and both cache sides are
-  // cleared — the epoch bump makes any base a remote still references
-  // unmatchable, so the next delta against it is answered need_full.
-  ++run_epoch_;
+  // Every transition invalidates the channel world: the runtime already
+  // invalidated the timers, in-flight shipments are dropped (their
+  // coordinator-side transactions resolve through 2PC recovery), and both
+  // cache sides are cleared — the epoch bump makes any base a remote
+  // still references unmatchable, so the next delta against it is
+  // answered need_full.
   ++epoch_tag_;
   convoy_queue_.clear();
-  flush_armed_.clear();
-  flush_gen_.clear();
+  flush_windows_.clear();
   awaiting_.clear();
   send_cache_.clear();
   recv_cache_.clear();

@@ -37,13 +37,13 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "agent/platform.h"
 #include "net/network.h"
+#include "sim/timers.h"
 #include "storage/stable_storage.h"
 #include "tx/queue_manager.h"
 #include "tx/tx_manager.h"
@@ -125,8 +125,11 @@ class BaseCache {
 
 class ShipmentManager {
  public:
-  ShipmentManager(agent::Platform& platform, NodeId self, tx::TxManager& txm,
-                  tx::QueueManager& qm, storage::StableStorage& storage);
+  /// `timers` is the node runtime's: a crash invalidates them before
+  /// on_node_state runs.
+  ShipmentManager(agent::Platform& platform, NodeId self, sim::Timers& timers,
+                  tx::TxManager& txm, tx::QueueManager& qm,
+                  storage::StableStorage& storage);
 
   /// Stage `record` into `dest`'s queue within `tx` (the remote leg of a
   /// step/compensation transaction). Rides the destination's convoy,
@@ -143,8 +146,8 @@ class ShipmentManager {
   /// Sender side: resolve waiters; re-ship full images on need_full.
   void on_convoy_ack(const net::Message& m);
   /// Crash/recovery: caches, queues and waiters are volatile — dropped
-  /// wholesale; the channel epoch bump makes stale remote bases
-  /// unreferencable.
+  /// wholesale (after the timers were invalidated); the channel epoch
+  /// bump makes stale remote bases unreferencable.
   void on_node_state(bool up);
 
   [[nodiscard]] const ShipStats& stats() const { return stats_; }
@@ -181,13 +184,11 @@ class ShipmentManager {
   /// full-image retry.
   void dispatch_convoy(NodeId dest, std::vector<Pending> batch);
   void flush_convoy(NodeId dest);
-  void arm_flush(NodeId dest);
   void timeout_pending(TxId tx);
-  /// Schedule `fn` after `delay`, cancelled automatically by crash.
-  void after(sim::TimeUs delay, std::function<void()> fn);
 
   agent::Platform& p_;
   NodeId self_;
+  sim::Timers& timers_;
   tx::TxManager& txm_;
   tx::QueueManager& qm_;
   storage::StableStorage& storage_;
@@ -196,19 +197,16 @@ class ShipmentManager {
   BaseCache recv_cache_;
   /// Entries collecting towards the next convoy, per destination.
   std::map<NodeId, std::vector<Pending>> convoy_queue_;
-  std::set<NodeId> flush_armed_;
-  /// Bumped per destination on every flush: a window-full flush must not
-  /// leave its armed timer behind to cut the NEXT partial convoy's dwell
-  /// time short (same pattern as TxManager's flush generations).
-  std::map<NodeId, std::uint64_t> flush_gen_;
+  /// Each destination's partial-convoy dwell (kConvoyFlushUs). Pending
+  /// timers point into this map: it is cleared only after a crash
+  /// invalidated them.
+  std::map<NodeId, sim::FlushWindow> flush_windows_;
   /// Shipments whose convoy left, keyed by transaction.
   std::map<TxId, Pending> awaiting_;
   /// Receive-channel epoch: starts at 1, bumped on every crash/recovery
   /// transition. Carried in every ack so senders tag their bases with the
   /// epoch the receiver held them under.
   std::uint64_t epoch_tag_ = 1;
-  /// Bumped with the node runtime's epoch; cancels pending timers.
-  std::uint64_t run_epoch_ = 0;
   ShipStats stats_;
 };
 

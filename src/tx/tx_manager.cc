@@ -29,7 +29,7 @@ std::pair<TxId, bool> decode_tx(const net::Message& m) {
 
 TxManager::TxManager(NodeId self, sim::Simulator& sim, net::Network& net,
                      storage::StableStorage& stable)
-    : self_(self), sim_(sim), net_(net), stable_(stable) {}
+    : self_(self), timers_(sim), net_(net), stable_(stable) {}
 
 void TxManager::register_participant(Participant& p) {
   participants_.push_back(&p);
@@ -71,7 +71,7 @@ void TxManager::inflight_remove() {
 
 void TxManager::trace_pipeline(const char* what, TxId tx) {
   if (!trace_) return;
-  trace_->emit(sim_.now(), TraceKind::tx_pipeline, self_.value(),
+  trace_->emit(timers_.now(), TraceKind::tx_pipeline, self_.value(),
                std::string(what) + " tx=" + std::to_string(tx.value()));
 }
 
@@ -82,12 +82,7 @@ void TxManager::enlist_remote(TxId tx, NodeId node) {
   it->second.remotes.insert(node);
 }
 
-bool TxManager::has_remote(TxId tx, NodeId node) const {
-  auto it = coords_.find(tx);
-  return it != coords_.end() && it->second.remotes.contains(node);
-}
-
-bool TxManager::prepare_locals(TxId tx) {
+bool TxManager::prepare_locals(TxId tx, bool* staged) {
   bool any = false;
   bool ok = true;
   for (auto* p : participants_) {
@@ -96,6 +91,7 @@ bool TxManager::prepare_locals(TxId tx) {
     ok = p->prepare(tx) && ok;
   }
   if (any && ok) persist_prepared_marker(tx);
+  if (staged != nullptr) *staged = any;
   return ok;
 }
 
@@ -141,7 +137,7 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
     if (commit_queue_.size() >= group_window_) {
       flush_commit_group();
     } else {
-      schedule_group_flush();
+      commit_flush_.arm(group_flush_us_);
     }
     return;
   }
@@ -158,17 +154,7 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
   // For piggybacked remotes this is the fallback when the convoy (and its
   // embedded prepare) was lost to a crash: an explicit PREPARE finds no
   // staged state, draws a NO vote, and resolves to presumed abort.
-  const auto epoch = epoch_;
-  auto redrive = [this, tx, epoch](auto&& self_fn) -> void {
-    if (epoch != epoch_) return;
-    auto cit = coords_.find(tx);
-    if (cit == coords_.end() || cit->second.phase != Phase::preparing) return;
-    for (const auto n : cit->second.votes_pending) send(n, msg::prepare, tx);
-    sim_.schedule_after(inquiry_interval_,
-                        [self_fn]() mutable { self_fn(self_fn); });
-  };
-  sim_.schedule_after(inquiry_interval_,
-                      [redrive]() mutable { redrive(redrive); });
+  redrive(tx, Phase::preparing);
 }
 
 void TxManager::abort_tx(TxId tx) {
@@ -190,11 +176,9 @@ void TxManager::note_piggybacked(TxId tx, NodeId node) {
 }
 
 void TxManager::flush_commit_group() {
-  // A direct (window-full) flush supersedes any armed flush timer: the
-  // generation bump keeps a later batch from inheriting the stale, now
-  // too-early deadline.
-  ++flush_gen_;
-  flush_pending_ = false;
+  // A direct (window-full) flush supersedes the armed flush timer: a
+  // later batch must not inherit its stale, now too-early deadline.
+  commit_flush_.disarm();
   if (commit_queue_.empty()) return;
   auto batch = std::move(commit_queue_);
   commit_queue_.clear();
@@ -226,23 +210,10 @@ void TxManager::maybe_begin_checkpoint() {
   if (!stable_.begin_checkpoint()) return;
   trace_pipeline("ckpt_begin", TxId(0));
   // The fuzzy window: commits keep flowing while the snapshot "writes".
-  // The epoch guard makes a crash inside the window abandon the attempt —
+  // A crash inside the window kills the timer and abandons the attempt —
   // the previous checkpoint generation stays the recovery base.
-  const auto epoch = epoch_;
-  sim_.schedule_after(kCheckpointWriteUs, [this, epoch] {
-    if (epoch != epoch_) return;
+  timers_.after(kCheckpointWriteUs, [this] {
     if (stable_.complete_checkpoint()) trace_pipeline("ckpt_done", TxId(0));
-  });
-}
-
-void TxManager::schedule_group_flush() {
-  if (flush_pending_) return;
-  flush_pending_ = true;
-  const auto epoch = epoch_;
-  const auto gen = flush_gen_;
-  sim_.schedule_after(group_flush_us_, [this, epoch, gen] {
-    if (epoch != epoch_ || gen != flush_gen_) return;
-    flush_commit_group();
   });
 }
 
@@ -254,28 +225,24 @@ void TxManager::decide_commit(TxId tx, Coord& c) {
   c.phase = Phase::deciding;
   decision_queue_.push_back(tx);
   trace_pipeline("decided", tx);
-  schedule_decision_flush(decision_queue_.size() >= group_window_);
+  decision_flush_.arm(
+      decision_queue_.size() >= group_window_ ? 0 : group_flush_us_);
 }
 
-void TxManager::arm_commit_redrive(TxId tx) {
-  // Re-drive COMMIT until every participant acknowledged.
-  const auto epoch = epoch_;
-  auto redrive = [this, tx, epoch](auto&& self_fn) -> void {
-    if (epoch != epoch_) return;
-    auto cit = coords_.find(tx);
-    if (cit == coords_.end() || cit->second.phase != Phase::committing) return;
-    for (const auto n : cit->second.acks_pending) send(n, msg::commit, tx);
-    sim_.schedule_after(inquiry_interval_,
-                        [self_fn]() mutable { self_fn(self_fn); });
-  };
-  sim_.schedule_after(inquiry_interval_,
-                      [redrive]() mutable { redrive(redrive); });
+void TxManager::redrive(TxId tx, Phase phase) {
+  const bool preparing = phase == Phase::preparing;
+  timers_.every(kInquiryIntervalUs, [this, tx, phase, preparing] {
+    auto it = coords_.find(tx);
+    if (it == coords_.end() || it->second.phase != phase) return false;
+    for (const auto n : preparing ? it->second.votes_pending
+                                  : it->second.acks_pending) {
+      send(n, preparing ? msg::prepare : msg::commit, tx);
+    }
+    return true;
+  });
 }
 
 void TxManager::flush_decision_group() {
-  ++decision_flush_gen_;
-  decision_flush_pending_ = false;
-  decision_flush_hot_ = false;
   if (decision_queue_.empty()) return;
   auto batch = std::move(decision_queue_);
   decision_queue_.clear();
@@ -303,33 +270,10 @@ void TxManager::flush_decision_group() {
     auto it = coords_.find(tx);
     MAR_CHECK(it != coords_.end());
     for (const auto n : it->second.acks_pending) send(n, msg::commit, tx);
-    arm_commit_redrive(tx);
+    redrive(tx, Phase::committing);
     trace_pipeline("flushed", tx);
   }
   maybe_begin_checkpoint();
-}
-
-void TxManager::schedule_decision_flush(bool hot) {
-  const auto epoch = epoch_;
-  const auto gen = decision_flush_gen_;
-  if (hot) {
-    if (decision_flush_hot_) return;
-    decision_flush_hot_ = true;
-    // after(0) runs behind the message deliveries already queued for this
-    // instant, so a burst of votes larger than the window still lands in
-    // ONE batch (the window is a floor for the flush, not a batch cap).
-    sim_.schedule_after(0, [this, epoch, gen] {
-      if (epoch != epoch_ || gen != decision_flush_gen_) return;
-      flush_decision_group();
-    });
-    return;
-  }
-  if (decision_flush_pending_ || decision_flush_hot_) return;
-  decision_flush_pending_ = true;
-  sim_.schedule_after(group_flush_us_, [this, epoch, gen] {
-    if (epoch != epoch_ || gen != decision_flush_gen_) return;
-    flush_decision_group();
-  });
 }
 
 void TxManager::decide_abort(TxId tx, Coord& c) {
@@ -383,13 +327,12 @@ void TxManager::enqueue_participant_work(std::vector<PendingPart>& queue,
   if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
     flush_participant_group();
   } else {
-    schedule_participant_flush();
+    part_flush_.arm(group_flush_us_);
   }
 }
 
 void TxManager::flush_participant_group() {
-  ++part_flush_gen_;
-  part_flush_pending_ = false;
+  part_flush_.disarm();
   if (prepare_queue_.empty() && apply_queue_.empty()) return;
   auto applies = std::move(apply_queue_);
   apply_queue_.clear();
@@ -411,25 +354,19 @@ void TxManager::flush_participant_group() {
   std::vector<Vote> votes;
   votes.reserve(prepares.size());
   for (const auto& pnd : prepares) {
-    bool any = false;
-    bool ok = true;
-    for (auto* p : participants_) {
-      if (!p->has_tx(pnd.tx)) continue;
-      any = true;
-      ok = p->prepare(pnd.tx) && ok;
-    }
+    bool staged = false;
+    const bool yes = prepare_locals(pnd.tx, &staged) && staged;
     // Nothing staged: this node crashed and lost the staged state, an
     // abort arrived while the prepare was queued, or the transaction
     // already finished here. The NO vote resolves it either way; a
     // duplicate PREPARE after commit cannot happen because the
     // coordinator stops re-driving PREPARE once decided.
-    if (any && ok) {
-      persist_prepared_marker(pnd.tx);
+    if (yes) {
       durable_work = true;
       in_doubt_.emplace(pnd.tx, pnd.coordinator);
       schedule_inquiry(pnd.tx);
     }
-    votes.push_back(Vote{pnd.tx, pnd.coordinator, any && ok});
+    votes.push_back(Vote{pnd.tx, pnd.coordinator, yes});
   }
   // ONE metered barrier for the whole batch; votes and acks may leave
   // only after it — that is the promise a YES vote / commit-ack makes.
@@ -441,17 +378,6 @@ void TxManager::flush_participant_group() {
   for (const auto& v : votes) send(v.to, msg::vote, v.tx, v.yes);
   if (!applies.empty() && apply_listener_) apply_listener_();
   maybe_begin_checkpoint();
-}
-
-void TxManager::schedule_participant_flush() {
-  if (part_flush_pending_) return;
-  part_flush_pending_ = true;
-  const auto epoch = epoch_;
-  const auto gen = part_flush_gen_;
-  sim_.schedule_after(group_flush_us_, [this, epoch, gen] {
-    if (epoch != epoch_ || gen != part_flush_gen_) return;
-    flush_participant_group();
-  });
 }
 
 void TxManager::handle_abort(TxId tx) {
@@ -479,17 +405,12 @@ void TxManager::handle_decision(TxId tx, bool committed) {
 }
 
 void TxManager::schedule_inquiry(TxId tx) {
-  const auto epoch = epoch_;
-  auto again = [this, tx, epoch](auto&& self_fn) -> void {
-    if (epoch != epoch_) return;
+  timers_.every(kInquiryIntervalUs, [this, tx] {
     auto it = in_doubt_.find(tx);
-    if (it == in_doubt_.end()) return;
+    if (it == in_doubt_.end()) return false;
     send(it->second, msg::inquiry, tx);
-    sim_.schedule_after(inquiry_interval_,
-                        [self_fn]() mutable { self_fn(self_fn); });
-  };
-  sim_.schedule_after(inquiry_interval_,
-                      [again]() mutable { again(again); });
+    return true;
+  });
 }
 
 // --------------------------------------------------------------------------
@@ -542,21 +463,20 @@ void TxManager::on_message(const net::Message& m) {
 }
 
 void TxManager::on_crash() {
-  ++epoch_;
+  timers_.invalidate();
   coords_.clear();
   in_doubt_.clear();
   // Queued-but-unflushed group commits die with the crash: nothing was
   // applied, so recovery presumed-aborts them from their prepared markers
   // and their records stay queued (restartability).
   commit_queue_.clear();
-  flush_pending_ = false;
+  commit_flush_.disarm();
   // Queued decisions were never persisted: their prepared participants
   // resolve to presumed abort through the inquiry protocol, their own
   // prepared markers through the recovery scan — exactly-once holds
   // because nothing was applied anywhere.
   decision_queue_.clear();
-  decision_flush_pending_ = false;
-  decision_flush_hot_ = false;
+  decision_flush_.disarm();
   inflight_ = 0;
   stats_.inflight_tx.store(0);
   // Likewise the participant-side batch: queued prepares never voted (the
@@ -564,12 +484,12 @@ void TxManager::on_crash() {
   // are re-driven by the coordinator / resolved by inquiry.
   prepare_queue_.clear();
   apply_queue_.clear();
-  part_flush_pending_ = false;
+  part_flush_.disarm();
   for (auto* p : participants_) p->on_crash();
 }
 
 void TxManager::on_recover() {
-  ++epoch_;
+  timers_.invalidate();
   // Participant side: resolve prepared transactions. abort_locals may
   // erase the scanned prep key mid-scan, so collect the ids first.
   std::vector<TxId> prepped;
@@ -614,7 +534,7 @@ void TxManager::on_recover() {
     MAR_CHECK(inserted);
     // Re-arm the COMMIT re-drive loop. The rebuilt entry is not counted
     // in the inflight gauge: its caller's callback died with the crash.
-    arm_commit_redrive(tx);
+    redrive(tx, Phase::committing);
   }
 }
 

@@ -28,7 +28,7 @@
 
 #include "net/network.h"
 #include "storage/stable_storage.h"
-#include "sim/simulator.h"
+#include "sim/timers.h"
 #include "tx/participant.h"
 #include "util/counters.h"
 #include "util/ids.h"
@@ -74,6 +74,12 @@ inline constexpr const char* decision = "tx.decision";
 /// Simulated time between a fuzzy checkpoint's begin and its completion
 /// (the window during which commits keep flowing).
 inline constexpr sim::TimeUs kCheckpointWriteUs = 500;
+/// Interval at which PREPARE and COMMIT are re-driven and in-doubt
+/// participants re-ask the coordinator.
+inline constexpr sim::TimeUs kInquiryIntervalUs = 200'000;
+/// Backoff before an aborted transaction is retried (NodeRuntime draws
+/// up to twice this, ContractManager waits exactly this).
+inline constexpr sim::TimeUs kRetryBackoffUs = 25'000;
 
 class TxManager {
  public:
@@ -92,7 +98,6 @@ class TxManager {
   /// Record that `node` holds staged state for `tx` (it must be told the
   /// outcome). Safe to call repeatedly.
   void enlist_remote(TxId tx, NodeId node);
-  [[nodiscard]] bool has_remote(TxId tx, NodeId node) const;
   /// Drive the commit protocol; invokes `cb` exactly once unless this node
   /// crashes first (after a crash, recovery finishes the protocol without
   /// the callback — callers recover through their own durable state).
@@ -155,9 +160,6 @@ class TxManager {
   /// construct TxManager directly run untraced.
   void set_trace(TraceSink* trace) { trace_ = trace; }
 
-  /// Interval at which in-doubt participants re-ask the coordinator.
-  void set_inquiry_interval(sim::TimeUs t) { inquiry_interval_ = t; }
-
   /// Called after a batched participant flush applied remote commits:
   /// queue records may have landed outside any message dispatch (the
   /// flush timer), so the owning runtime re-pumps its scheduler here.
@@ -188,8 +190,8 @@ class TxManager {
   /// Fuzzy record-log checkpoints: whenever a group-commit flush observes
   /// >= `interval_bytes` of new record-log writes since the last
   /// checkpoint, begin one — snapshot at the current LSN without stalling
-  /// the pipeline — and complete it kCheckpointWriteUs later on an
-  /// epoch-guarded timer, so a crash inside the window simply abandons the
+  /// the pipeline — and complete it kCheckpointWriteUs later on a
+  /// crash-scoped timer, so a crash inside the window simply abandons the
   /// attempt (the previous generation stays valid). 0 disables.
   void set_checkpoint(std::size_t interval_bytes) {
     checkpoint_interval_bytes_ = interval_bytes;
@@ -227,20 +229,18 @@ class TxManager {
   void finish(TxId tx, Coord& c, bool committed);
   /// Apply every queued local commit, pay one sync, run the callbacks.
   void flush_commit_group();
-  void schedule_group_flush();
   /// Persist every queued commit decision, pay ONE metered sync, send the
   /// COMMITs (callbacks fire later, at ack drain).
   void flush_decision_group();
-  /// Arm the decision flush: `hot` schedules an immediate (same-instant)
-  /// flush once the window filled — it still runs after every event
-  /// already queued for this timestamp, so a burst of votes larger than
-  /// the window shares one barrier; otherwise dwell group_flush_us_.
-  void schedule_decision_flush(bool hot);
-  void arm_commit_redrive(TxId tx);
+  /// Re-send PREPARE to the missing voters (`preparing`) or COMMIT to
+  /// the missing ackers (`committing`) while `tx` stays in `phase`.
+  void redrive(TxId tx, Phase phase);
   /// Inflight gauge maintenance (mirrors into stats_, tracks high water).
   void inflight_add();
   void inflight_remove();
-  bool prepare_locals(TxId tx);
+  /// Prepare the local participants holding state for `tx`; persist the
+  /// prepared marker if all succeeded. `staged`: whether any held state.
+  bool prepare_locals(TxId tx, bool* staged = nullptr);
   void commit_locals(TxId tx);
   void abort_locals(TxId tx);
   void persist_decision(TxId tx, const std::set<NodeId>& remotes);
@@ -260,12 +260,12 @@ class TxManager {
   /// Run queued participant prepares and commit applies, pay one shared
   /// sync, then release the votes and acks.
   void flush_participant_group();
-  void schedule_participant_flush();
   void handle_abort(TxId tx);
   void handle_inquiry(TxId tx, NodeId from);
   void handle_decision(TxId tx, bool committed);
   void persist_prepared_marker(TxId tx);
   void clear_prepared_marker(TxId tx);
+  /// Re-ask the coordinator about `tx` until its outcome is known.
   void schedule_inquiry(TxId tx);
   void trace_pipeline(const char* what, TxId tx);
   /// Checkpoint trigger, evaluated at every batched flush point (the
@@ -276,7 +276,8 @@ class TxManager {
   [[nodiscard]] std::string prepared_key(TxId tx) const;
 
   NodeId self_;
-  sim::Simulator& sim_;
+  /// Every timer of this engine; invalidated at crash and recovery.
+  sim::Timers timers_;
   net::Network& net_;
   storage::StableStorage& stable_;
   std::vector<Participant*> participants_;
@@ -285,18 +286,13 @@ class TxManager {
   /// outcome is still unknown (coordinator field for inquiries).
   std::map<TxId, NodeId> in_doubt_;
   std::uint64_t next_tx_ = 1;
-  sim::TimeUs inquiry_interval_ = 200'000;  // 200 ms
-  std::uint64_t epoch_ = 0;  ///< bumped on crash; cancels stale timers
 
   /// Decided-but-unsynced local commits awaiting the group flush. Their
   /// participants still hold locks and prepared markers; a crash before
   /// the flush presumed-aborts them (nothing was applied), which is the
   /// crash atomicity of a batched sync.
   std::vector<std::pair<TxId, CommitCallback>> commit_queue_;
-  bool flush_pending_ = false;
-  /// Bumped on every flush; invalidates armed flush timers so a batch
-  /// never inherits the previous batch's deadline.
-  std::uint64_t flush_gen_ = 0;
+  sim::FlushWindow commit_flush_{timers_, [this] { flush_commit_group(); }};
   std::uint32_t group_window_ = 1;
   sim::TimeUs group_flush_us_ = 100;
 
@@ -311,9 +307,12 @@ class TxManager {
   /// abort through their inquiries, exactly as if the coordinator had
   /// never decided.
   std::vector<TxId> decision_queue_;
-  bool decision_flush_pending_ = false;  ///< dwell timer armed
-  bool decision_flush_hot_ = false;      ///< same-instant flush armed
-  std::uint64_t decision_flush_gen_ = 0;
+  /// The queue's only flush trigger: dwells group_flush_us_, and once the
+  /// window is full re-arms with 0 — a same-instant flush that still runs
+  /// after every event already queued for this timestamp, so a burst of
+  /// votes larger than the window shares one barrier.
+  sim::FlushWindow decision_flush_{timers_,
+                                   [this] { flush_decision_group(); }};
 
   /// Coordinated transactions begun but not yet done (plain counter: all
   /// mutation happens on the owning sim thread; stats_ carries the
@@ -330,8 +329,7 @@ class TxManager {
   /// protocol.
   std::vector<PendingPart> prepare_queue_;
   std::vector<PendingPart> apply_queue_;
-  bool part_flush_pending_ = false;
-  std::uint64_t part_flush_gen_ = 0;
+  sim::FlushWindow part_flush_{timers_, [this] { flush_participant_group(); }};
   std::function<void()> apply_listener_;
   std::uint64_t participant_syncs_ = 0;
 };

@@ -433,6 +433,89 @@ std::vector<Scenario> scenarios() {
   s.push_back({"crash_mid_rollback_optimized", [] {
                  return crash_mid_rollback(RollbackStrategy::optimized);
                }});
+  s.push_back({"remote_result_delivery", [] {
+                 // Child 2 finishes on node 3, away from its parent's
+                 // mailbox on node 1, and delivers its result over
+                 // ctr.invoke/ctr.result. The mailbox node is down for the
+                 // first attempt, so that RPC times out and is retried.
+                 return run_scenario({}, 4, [](TestWorld& w) {
+                   w.faults.crash_at(TestWorld::n(1), 7'000, 3'000'000);
+                   return launch(w, spawner(false));
+                 });
+               }});
+  s.push_back({"mce_timeout_resource_down", [] {
+                 // The resource node of the last mixed step is down when
+                 // its MCE shipment leaves: the shipment times out.
+                 return run_scenario(
+                     with_strategy(RollbackStrategy::adaptive), 5,
+                     [](TestWorld& w) {
+                       auto agent = workload(single_sub(
+                           {{"grow_strong", 1},
+                            {"touch_mixed", 2},
+                            {"touch_mixed", 3},
+                            {"touch_mixed", 4},
+                            {"noop", 5}}));
+                       agent->set_trigger("noop", 5, "sub", 0);
+                       agent->set_config("strong_bytes", 16 * 1024);
+                       agent->set_config("weak_bytes", 16);
+                       agent->set_config("param_bytes", 16);
+                       w.faults.crash_at(TestWorld::n(4), 63'000, 3'000'000);
+                       return launch(w, std::move(agent));
+                     });
+               }});
+  s.push_back({"rce_timeout", [] {
+                 // The node holding the first shipped RCE list is down
+                 // longer than the stage timeout.
+                 return run_scenario(
+                     with_strategy(RollbackStrategy::optimized), 4,
+                     [](TestWorld& w) {
+                       w.open_account(1, "acct", 1000);
+                       w.open_account(2, "acct", 1000);
+                       auto agent = workload(single_sub({{"withdraw", 1},
+                                                         {"withdraw", 2},
+                                                         {"touch_split", 3},
+                                                         {"noop", 4}}));
+                       agent->set_trigger("noop", 4, "sub", 0);
+                       w.faults.crash_at(TestWorld::n(3), 8'000, 3'000'000);
+                       return launch(w, std::move(agent));
+                     });
+               }});
+  s.push_back({"convoy_crash_in_dwell", [] {
+                 // Three agents leave node 1 for node 2 together and wait
+                 // in a partial convoy (window 4) when node 1 crashes;
+                 // after recovery they convoy again with a full dwell.
+                 PlatformConfig cfg;
+                 cfg.ship_convoy_window = 4;
+                 cfg.node_concurrency = 4;
+                 return run_scenario(cfg, 3, [](TestWorld& w) {
+                   std::vector<AgentId> ids;
+                   for (int i = 0; i < 3; ++i) {
+                     auto id = launch(w, workload(single_sub(
+                                             {{"noop", 1}, {"noop", 2}})));
+                     ids.push_back(id.front());
+                   }
+                   w.faults.crash_at(TestWorld::n(1), 100, 50'000);
+                   return ids;
+                 });
+               }});
+  s.push_back({"decision_burst_over_window", [] {
+                 // Six transfers ride one convoy; node 2 votes in batches
+                 // of the window (2), and all six votes reach node 1 in
+                 // the same instant: one same-instant decision flush.
+                 PlatformConfig cfg;
+                 cfg.ship_convoy_window = 8;
+                 cfg.node_concurrency = 6;
+                 cfg.group_commit_window = 2;
+                 return run_scenario(cfg, 2, [](TestWorld& w) {
+                   std::vector<AgentId> ids;
+                   for (int i = 0; i < 6; ++i) {
+                     auto id = launch(w, workload(single_sub(
+                                             {{"noop", 1}, {"noop", 2}})));
+                     ids.push_back(id.front());
+                   }
+                   return ids;
+                 });
+               }});
   return s;
 }
 

@@ -1,10 +1,12 @@
-// Unit tests for the discrete-event kernel and the simulated network
-// (latency/bandwidth cost model, reliable transport, fault handling).
+// Unit tests for the discrete-event kernel, its crash-scoped timers
+// (Timers, FlushWindow) and the simulated network (latency/bandwidth cost
+// model, reliable transport, fault handling).
 #include <gtest/gtest.h>
 
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "sim/timers.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -71,6 +73,101 @@ TEST(SimulatorTest, RunWhilePendingStopsOnPredicate) {
   const bool hit = sim.run_while_pending([&] { return count == 4; });
   EXPECT_TRUE(hit);
   EXPECT_EQ(count, 4);
+}
+
+TEST(TimersTest, AfterIsDroppedAfterInvalidate) {
+  sim::Simulator sim;
+  sim::Timers timers(sim);
+  std::vector<int> fired;
+  timers.after(10, [&] { fired.push_back(1); });
+  timers.invalidate();
+  timers.after(20, [&] { fired.push_back(2); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  // The stale timer's event still ran, as a no-op.
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(TimersTest, EveryFirstRunsOneIntervalOutAndStopsOnFalse) {
+  sim::Simulator sim;
+  sim::Timers timers(sim);
+  std::vector<sim::TimeUs> runs;
+  timers.every(100, [&] {
+    runs.push_back(sim.now());
+    return runs.size() < 3;
+  });
+  sim.run_until(1'000);
+  EXPECT_EQ(runs, (std::vector<sim::TimeUs>{100, 200, 300}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(TimersTest, EveryStopsOnInvalidate) {
+  sim::Simulator sim;
+  sim::Timers timers(sim);
+  int runs = 0;
+  timers.every(100, [&] {
+    ++runs;
+    return true;
+  });
+  sim.run_until(250);
+  EXPECT_EQ(runs, 2);
+  timers.invalidate();
+  sim.run_until(1'000);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+/// A FlushWindow whose flushes are recorded by simulated time.
+struct WindowFixture : ::testing::Test {
+  sim::Simulator sim;
+  sim::Timers timers{sim};
+  std::vector<sim::TimeUs> flushes;
+  sim::FlushWindow window{timers, [this] { flushes.push_back(sim.now()); }};
+
+  void at(sim::TimeUs t, std::function<void()> fn) {
+    sim.schedule_at(t, std::move(fn));
+  }
+};
+
+TEST_F(WindowFixture, RepeatedArmGivesOneFlush) {
+  window.arm(100);
+  window.arm(100);
+  at(50, [this] { window.arm(100); });
+  sim.run();
+  EXPECT_EQ(flushes, (std::vector<sim::TimeUs>{100}));
+  // One timer event, plus the event that re-armed at t=50.
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST_F(WindowFixture, WindowFullDisarmGivesNextBatchFullDwell) {
+  window.arm(100);
+  at(40, [this] { window.disarm(); });  // the batch filled and flushed
+  at(60, [this] { window.arm(100); });  // the next batch's first entry
+  sim.run();
+  EXPECT_EQ(flushes, (std::vector<sim::TimeUs>{160}));
+}
+
+TEST_F(WindowFixture, ShorterDelayFiresEarly) {
+  window.arm(100);
+  at(10, [this] { window.arm(0); });
+  sim.run();
+  // The same-instant flush ran; it left the dwell timer stale.
+  EXPECT_EQ(flushes, (std::vector<sim::TimeUs>{10}));
+}
+
+TEST_F(WindowFixture, LongerDelayOverShorterIsIgnored) {
+  window.arm(50);
+  window.arm(100);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(flushes, (std::vector<sim::TimeUs>{50}));
+}
+
+TEST_F(WindowFixture, ArmsAgainAfterAFlush) {
+  window.arm(100);
+  at(150, [this] { window.arm(100); });
+  sim.run();
+  EXPECT_EQ(flushes, (std::vector<sim::TimeUs>{100, 250}));
 }
 
 struct NetFixture : ::testing::Test {

@@ -27,7 +27,7 @@ Rules (each with a stable id used in messages and suppressions):
                         future/promise, sleep loops) inside src/tx/ and
                         src/ship/: the commit pipeline is completion-
                         callback-driven — dwell time is expressed through
-                        simulator flush timers, never by blocking the
+                        crash-scoped flush timers, never by blocking the
                         caller. Timer code that must name such a
                         primitive annotates `// mar-lint: flush-timer`.
   R7 record-scope       Record-area mutators (record_reset / record_append
@@ -45,6 +45,12 @@ Rules (each with a stable id used in messages and suppressions):
                         flight recorder report. Intentionally private
                         counters annotate
                         `// mar-lint: unregistered-stat`.
+  R9 crash-scoped-timer No raw Simulator::schedule_after/schedule_at
+                        under src/agent/, src/ship/ and src/tx/: every
+                        per-node protocol timer goes through sim::Timers
+                        (after / every / FlushWindow), so one crash or
+                        recovery invalidates it. A raw timer outlives the
+                        crash and acts on the recovered node.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -228,6 +234,25 @@ def check_record_scope(relpath, path, lines, findings):
                                     "liveness; stage via stage_record_*"))
 
 
+# --- R9: per-node protocol timers go through sim::Timers -------------------
+
+TIMER_SCOPED_PREFIXES = ("src/agent/", "src/ship/", "src/tx/")
+RAW_TIMER_RE = re.compile(r"\bschedule_(?:after|at)\s*\(")
+
+
+def check_crash_scoped_timer(relpath, path, lines, findings):
+    if not relpath.startswith(TIMER_SCOPED_PREFIXES):
+        return
+    for i, line in enumerate(lines, 1):
+        m = RAW_TIMER_RE.search(strip_noise(line))
+        if m:
+            findings.append(Finding(path, i, "R9",
+                                    f"raw `{m.group(0).strip()})` timer "
+                                    "survives a crash; schedule through "
+                                    "sim::Timers (after / every / "
+                                    "FlushWindow)"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -334,6 +359,7 @@ def run_lint(root, explicit_files=None):
         check_raw_random(relpath, relpath, lines, findings)
         check_no_blocking_wait(relpath, relpath, lines, findings)
         check_record_scope(relpath, relpath, lines, findings)
+        check_crash_scoped_timer(relpath, relpath, lines, findings)
     if not explicit_files:
         check_trace_registered(root, findings)
         check_stat_registered(root, findings)
@@ -381,6 +407,11 @@ void rogue_blocking_commit(std::condition_variable& cv,
   cv.wait(lk);
 }
 """,
+    "src/ship/rogue_timer.cc": """
+void rogue_dwell(mar::sim::Simulator& sim) {
+  sim.schedule_after(200, [] {});  // outlives a crash of this node
+}
+""",
     "src/net/rogue_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -411,9 +442,13 @@ void good_staged_record(mar::tx::TxHandle& tx) {
 }
 """,
     "src/tx/good_timer.cc": """
-void good_flush_timer(mar::sim::Simulator& sim, mar::FlushHelper& helper) {
-  // Dwell is a simulator timer, never a blocking wait.
-  sim.schedule_after(100, [] {});
+void good_flush_timer(mar::sim::Timers& timers, mar::FlushHelper& helper) {
+  // Dwell is a crash-scoped timer (never sim.schedule_after(...) raw),
+  // never a blocking wait.
+  timers.after(100, [] {});
+  timers.every(200, [] { return false; });
+  helper.window.arm(100);
+  helper.trace("schedule_at(0)");  // a string, not a call
   helper.cv.wait(helper.lk);  // mar-lint: flush-timer
   auto pending = helper.awaiting_.find(7);  // `awaiting_` is not a wait
   (void)pending;
@@ -426,6 +461,12 @@ struct GoodStats {
   RelaxedCounter frames_sent;
   RelaxedCounter scratch_probe;  // mar-lint: unregistered-stat
 };
+}
+""",
+    "src/contract/good_timer.cc": """
+void good_central_retry(mar::sim::Simulator& sim) {
+  // Outside the per-node engines a raw simulator timer is fine.
+  sim.schedule_after(25000, [] {});
 }
 """,
     "src/net/good_stats.cc": """
@@ -452,7 +493,8 @@ def self_test():
 
         findings = run_lint(root)
         fired = {f.rule for f in findings}
-        expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}
+        expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+                    "R9"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
