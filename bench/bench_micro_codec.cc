@@ -103,6 +103,63 @@ void BM_ImageDeltaApply(benchmark::State& state) {
 }
 BENCHMARK(BM_ImageDeltaApply)->Arg(4)->Arg(64)->Arg(1024);
 
+// One migration arrival of an aged agent: decode the image, run a step
+// (append its BOS/OE/EOS), capture the successor image. The rollback log
+// is `age` steps long; its decoded entries stay one encoded prefix, so
+// the per-arrival cost should stay flat as the agent ages.
+serial::Bytes make_aged_image(std::int64_t age) {
+  harness::WorkloadAgent agent;
+  agent::Itinerary steps;
+  for (std::int64_t i = 0; i < age + 1; ++i) {
+    steps.step("spend_logged", NodeId(static_cast<std::uint32_t>(1 + i % 4)));
+  }
+  agent::Itinerary main;
+  main.sub(std::move(steps));
+  agent.itinerary() = std::move(main);
+  for (std::int64_t i = 0; i < age; ++i) {
+    const NodeId node(static_cast<std::uint32_t>(1 + i % 4));
+    agent.log().push(rollback::BeginOfStepEntry{node, "spend_logged"});
+    rollback::OperationEntry op;
+    op.kind = rollback::OpEntryKind::resource;
+    op.comp_op = "bank.refund";
+    op.params = serial::Value(serial::Bytes(64, std::uint8_t{0x5A}));
+    op.resource_node = node;
+    op.resource = "bank";
+    agent.log().push(std::move(op));
+    rollback::EndOfStepEntry eos;
+    eos.node = node;
+    agent.log().push(std::move(eos));
+  }
+  return agent::encode_agent(agent);
+}
+
+void BM_ArrivalStepCommit(benchmark::State& state) {
+  const auto image = make_aged_image(state.range(0));
+  agent::AgentTypeRegistry registry;
+  registry.register_type<harness::WorkloadAgent>("workload");
+  const NodeId here(2);
+  for (auto _ : state) {
+    auto agent = agent::decode_agent(registry, image);
+    agent->log().push(rollback::BeginOfStepEntry{here, "spend_logged"});
+    rollback::OperationEntry op;
+    op.kind = rollback::OpEntryKind::resource;
+    op.comp_op = "bank.refund";
+    op.params = serial::Value(std::int64_t{64});
+    op.resource_node = here;
+    op.resource = "bank";
+    agent->log().push(std::move(op));
+    rollback::EndOfStepEntry eos;
+    eos.node = here;
+    agent->log().push(std::move(eos));
+    auto next = agent::encode_agent(*agent);
+    benchmark::DoNotOptimize(next);
+  }
+  state.counters["image_bytes"] = static_cast<double>(image.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(image.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_ArrivalStepCommit)->Arg(8)->Arg(32)->Arg(128);
+
 // The size-hint encode path: computing the exact wire size arithmetically
 // and pre-sizing the buffer turns a large-map encode into one allocation.
 serial::Value make_large_map(std::int64_t keys) {

@@ -14,7 +14,7 @@ void SavepointStackEntry::serialize(serial::Encoder& enc) const {
 
 void SavepointStackEntry::deserialize(serial::Decoder& dec) {
   id = SavepointId(dec.read_u32());
-  origin = static_cast<rollback::SavepointOrigin>(dec.read_u8());
+  origin = dec.read_enum(rollback::SavepointOrigin::sub_itinerary);
   depth = dec.read_u32();
 }
 
@@ -32,7 +32,11 @@ void Agent::serialize(serial::Encoder& enc) const {
   enc.write_u64(id_.value());
   enc.write_u8(static_cast<std::uint8_t>(run_state_));
   data_.serialize(enc);
-  itinerary_.serialize(enc);
+  if (itinerary_bytes_.empty()) {
+    itinerary_.serialize(enc);
+  } else {
+    enc.write_raw(itinerary_bytes_);
+  }
   enc.write_varint(position_.size());
   for (const auto i : position_) enc.write_u32(i);
   enc.write_varint(sp_stack_.size());
@@ -50,9 +54,12 @@ void Agent::serialize(serial::Encoder& enc) const {
 
 void Agent::deserialize(serial::Decoder& dec) {
   id_ = AgentId(dec.read_u64());
-  run_state_ = static_cast<RunState>(dec.read_u8());
+  run_state_ = dec.read_enum(RunState::done);
   data_.deserialize(dec);
+  const auto itinerary_begin = dec.offset();
   itinerary_.deserialize(dec);
+  const auto itinerary = dec.consumed_since(itinerary_begin);
+  itinerary_bytes_.assign(itinerary.begin(), itinerary.end());
   position_.resize(dec.read_count());
   for (auto& i : position_) i = dec.read_u32();
   sp_stack_.resize(dec.read_count());
@@ -72,7 +79,8 @@ void Agent::deserialize(serial::Decoder& dec) {
 std::size_t Agent::serialized_size() const {
   std::size_t n = 8 + 1;  // id, run_state
   n += data_.encoded_size();
-  n += itinerary_.encoded_size();
+  n += itinerary_bytes_.empty() ? itinerary_.encoded_size()
+                                : itinerary_bytes_.size();
   n += serial::varint_size(position_.size()) + 4 * position_.size();
   n += serial::varint_size(sp_stack_.size()) +
        sp_stack_.size() * SavepointStackEntry::byte_size();
@@ -186,7 +194,7 @@ serial::Bytes encode_agent_delta(const Agent& agent) {
 
 void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta) {
   serial::Decoder dec(delta);
-  agent.run_state_ = static_cast<Agent::RunState>(dec.read_u8());
+  agent.run_state_ = dec.read_enum(Agent::RunState::done);
   agent.position_.resize(dec.read_count());
   for (auto& i : agent.position_) i = dec.read_u32();
   agent.sp_stack_.resize(dec.read_count());
@@ -272,11 +280,19 @@ ByteSpan slice(serial::Decoder& dec, ByteSpan buf, Skip&& skip) {
   return buf.subspan(begin, dec.offset() - begin);
 }
 
+std::uint8_t read_run_state(serial::Decoder& dec) {
+  return static_cast<std::uint8_t>(dec.read_enum(Agent::RunState::done));
+}
+
 /// Advance past the position ... force_full_sp fields, laid out
 /// identically in an image and in a delta record.
 void skip_platform_fields(serial::Decoder& dec) {
   dec.skip(4 * dec.read_count());  // position
-  dec.skip(SavepointStackEntry::byte_size() * dec.read_count());
+  for (auto n = dec.read_count(); n > 0; --n) {  // savepoint stack
+    dec.skip(4);
+    (void)dec.read_enum(rollback::SavepointOrigin::sub_itinerary);
+    dec.skip(4);
+  }
   dec.skip(4 + 4 + 8 + 4);  // next_sp, rollbacks, parent, result_node
   (void)dec.read_bytes_view();  // result_key
   (void)dec.read_bool();        // retain_full_log
@@ -399,7 +415,7 @@ AgentImage scan_agent_image(std::span<const std::uint8_t> image) {
     (void)dec.read_bytes_view();  // type name
     dec.skip(8);                  // id
   });
-  a.run_state = dec.read_u8();
+  a.run_state = read_run_state(dec);
   a.strong = slice(dec, image, [&] { serial::skip_value(dec); });
   a.weak = slice(dec, image, [&] { serial::skip_value(dec); });
   if (a.strong.front() != kMapTag || a.weak.front() != kMapTag) {
@@ -465,7 +481,7 @@ serial::Bytes apply_image_delta(std::span<const std::uint8_t> base_image,
                                 std::span<const std::uint8_t> delta) {
   const auto base = scan_agent_image(base_image);
   serial::Decoder dec(delta);
-  const auto run_state = dec.read_u8();
+  const auto run_state = read_run_state(dec);
   const auto fields = slice(dec, delta, [&] { skip_platform_fields(dec); });
   auto last_sp_strong = base.last_sp_strong;
   if (dec.read_bool()) {
@@ -474,11 +490,10 @@ serial::Bytes apply_image_delta(std::span<const std::uint8_t> base_image,
   const Section sections[] = {apply_section(dec, delta, base.strong),
                               apply_section(dec, delta, base.weak)};
   const auto appended = dec.read_count();
-  // The appended entries are decoded once to validate them: they are
-  // the delta's only part that is not a slice of a scanned section.
+  // The appended entries are walked once to validate them: they are the
+  // delta's only part that is not a slice of a scanned section.
   const auto entries = slice(dec, delta, [&] {
-    rollback::LogEntry e;
-    for (std::uint64_t i = 0; i < appended; ++i) e.deserialize(dec);
+    for (std::uint64_t i = 0; i < appended; ++i) rollback::LogEntry::skip(dec);
   });
   dec.expect_end();
 

@@ -56,7 +56,12 @@ class Agent : public serial::Serializable {
   // --- application-visible state -------------------------------------------
   [[nodiscard]] DataSpace& data() { return data_; }
   [[nodiscard]] const DataSpace& data() const { return data_; }
-  [[nodiscard]] Itinerary& itinerary() { return itinerary_; }
+  /// Mutable access drops the encoded itinerary kept from decode: the
+  /// next capture re-encodes it. Read through a const Agent on hot paths.
+  [[nodiscard]] Itinerary& itinerary() {
+    itinerary_bytes_.clear();
+    return itinerary_;
+  }
   [[nodiscard]] const Itinerary& itinerary() const { return itinerary_; }
 
   // --- platform state --------------------------------------------------------
@@ -161,6 +166,9 @@ class Agent : public serial::Serializable {
   RunState run_state_ = RunState::fresh;
   DataSpace data_;
   Itinerary itinerary_;
+  /// The itinerary's encoding as decoded (empty: none kept). It is
+  /// immutable after launch, so a capture writes these bytes verbatim.
+  serial::Bytes itinerary_bytes_;
   Position position_;
   std::vector<SavepointStackEntry> sp_stack_;
   std::uint32_t next_sp_ = 1;

@@ -39,7 +39,7 @@ void Condition::serialize(serial::Encoder& enc) const {
 
 void Condition::deserialize(serial::Decoder& dec) {
   slot = dec.read_string();
-  op = static_cast<Op>(dec.read_u8());
+  op = dec.read_enum(Op::ge);
   literal.deserialize(dec);
 }
 
@@ -237,10 +237,12 @@ void Itinerary::skip(serial::Decoder& dec) {
     const auto tag = dec.read_u8();
     if (tag == 0) {  // step: method, locations, optional condition
       (void)dec.read_bytes_view();
-      dec.skip(4 * dec.read_count());
+      const auto nodes = dec.read_count();
+      if (nodes == 0) throw serial::DecodeError("step has no locations");
+      dec.skip(4 * nodes);
       if (dec.read_bool()) {
         (void)dec.read_bytes_view();
-        (void)dec.read_u8();
+        (void)dec.read_enum(Condition::Op::ge);
         serial::skip_value(dec);
       }
     } else if (tag == 1) {  // sub: vital, nested itinerary

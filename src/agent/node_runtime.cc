@@ -4,6 +4,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "contract/contract.h"
 #include "resource/lock_audit.h"
@@ -18,6 +19,15 @@ using rollback::OpEntryKind;
 using rollback::OperationEntry;
 using storage::QueueRecord;
 using storage::RecordKind;
+
+namespace {
+/// Candidate nodes of the agent's current step. Reads through a const
+/// agent, as every itinerary read here does: the mutable accessor would
+/// drop the encoded itinerary the agent kept from its decode.
+const std::vector<NodeId>& step_locations(const Agent& agent) {
+  return agent.itinerary().step_at(agent.position()).locations;
+}
+}  // namespace
 
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
     : p_(platform), id_(id), qm_(storage_), rm_(storage_),
@@ -339,8 +349,7 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = decode(rec.payload);
-  const NodeId dest = pick_node(
-      rec, agent->itinerary().step_at(agent->position()).locations);
+  const NodeId dest = pick_node(rec, step_locations(*agent));
   QueueRecord next_rec =
       make_record(*agent, RecordKind::execute, SavepointId::invalid());
   if (dest != id_) {
@@ -755,9 +764,10 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = load_agent_for_step(rec);
-  MAR_CHECK_MSG(agent->itinerary().valid_step(agent->position()),
+  const auto& itinerary = std::as_const(*agent).itinerary();
+  MAR_CHECK_MSG(itinerary.valid_step(agent->position()),
                 "agent position does not address a step");
-  const StepEntry step = agent->itinerary().step_at(agent->position());
+  const StepEntry step = itinerary.step_at(agent->position());
   trace(TraceKind::step_begin,
         "T(" + step.method + ") agent " + std::to_string(rec.agent.value()));
 
@@ -898,7 +908,8 @@ std::optional<NodeRuntime::FailurePlan> NodeRuntime::failure_plan_for(
 void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                                 std::shared_ptr<Agent> agent,
                                 StepContext& ctx) {
-  const StepEntry step = agent->itinerary().step_at(agent->position());
+  const auto& itinerary = std::as_const(*agent).itinerary();
+  const StepEntry step = itinerary.step_at(agent->position());
   auto& log = agent->log();
 
   // Multi-agent executions (Sec. 6): prepare and stage the children
@@ -950,7 +961,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
 
   // Advance the itinerary; write savepoints; GC/discard (Sec. 4.4.2).
   const Position from = agent->position();
-  const auto next = agent->itinerary().next_step(from);
+  const auto next = itinerary.next_step(from);
   p_.advance_itinerary(id_, *agent, from, next, ctx.requested_savepoints());
   if (next.has_value()) {
     agent->set_position(*next);
@@ -974,8 +985,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
       return;
     }
     // Route to the next step's node.
-    const NodeId dest = pick_node(
-        rec, agent->itinerary().step_at(agent->position()).locations);
+    const NodeId dest = pick_node(rec, step_locations(*agent));
     // The hot path: when the agent stays on this node, commit only the
     // step's delta into its append-only stable record — O(changed state)
     // instead of O(total state). Spawning steps write a full image (the
@@ -1071,15 +1081,11 @@ Status NodeRuntime::check_rollback_target(const Agent& agent,
                       " is not in the rollback log");
   }
   // Sec. 3.2: a step containing a non-compensatable operation cannot be
-  // rolled back after commit — scan the segment that would be compensated.
-  for (auto it = log.entries().rbegin(); it != log.entries().rend(); ++it) {
-    if (it->is_savepoint() && it->savepoint().id == target) break;
-    if (it->kind() == EntryKind::end_of_step &&
-        it->end_of_step().cannot_compensate) {
-      return Status(Errc::not_compensatable,
-                    "a step between here and the target savepoint is not "
-                    "compensatable");
-    }
+  // rolled back after commit.
+  if (log.poisoned_since(target)) {
+    return Status(Errc::not_compensatable,
+                  "a step between here and the target savepoint is not "
+                  "compensatable");
   }
   return Status::ok();
 }
@@ -1162,8 +1168,7 @@ void NodeRuntime::rollback_reached(TxId tx, const QueueRecord& rec,
   if (completion == QueueRecord::Completion::next_alt) {
     apply_next_alternative(agent, target);
   }
-  const NodeId dest =
-      pick_node(rec, agent.itinerary().step_at(agent.position()).locations);
+  const NodeId dest = pick_node(rec, step_locations(agent));
   QueueRecord next_rec =
       make_record(agent, RecordKind::execute, SavepointId::invalid());
   if (trace_resume && dest != id_) {
@@ -1461,7 +1466,7 @@ bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {
   const Position from = sp->resume_position;
   const Position prefix(from.begin(),
                         from.begin() + static_cast<long>(sp->depth));
-  const auto next = agent.itinerary().next_step(prefix);
+  const auto next = std::as_const(agent).itinerary().next_step(prefix);
   trace(TraceKind::msg,
         "abandoning sub-itinerary at depth " + std::to_string(sp->depth));
   // Treat the abandoned sub-itinerary as exited: its savepoint entry is
@@ -1484,14 +1489,15 @@ void NodeRuntime::apply_next_alternative(Agent& agent, SavepointId target) {
                                 "two levels deep");
   const Position from = sp->resume_position;
   Position option(from.begin(), from.begin() + static_cast<long>(sp->depth));
-  MAR_CHECK(agent.itinerary().prefix_kind(option) ==
+  const auto& itinerary = std::as_const(agent).itinerary();
+  MAR_CHECK(itinerary.prefix_kind(option) ==
             Itinerary::PrefixKind::alt_option);
   Position next_option = option;
   ++next_option.back();
   MAR_CHECK_MSG(next_option.back() <
-                    agent.itinerary().alt_option_count(option),
+                    itinerary.alt_option_count(option),
                 "no alternative option left to enter");
-  const auto next = agent.itinerary().first_step_under(next_option);
+  const auto next = itinerary.first_step_under(next_option);
   MAR_CHECK_MSG(next.has_value(), "alternative option contains no steps");
   trace(TraceKind::msg,
         "entering alternative option " + std::to_string(next_option.back()));

@@ -1,6 +1,7 @@
 #include "rollback/log.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "util/check.h"
@@ -29,6 +30,10 @@ std::string_view to_string(EntryKind k) {
 // ---------------------------------------------------------------------------
 // Entry serialization
 // ---------------------------------------------------------------------------
+//
+// LogEntry::skip() walks the bytes deserialize() reads without building
+// anything; the two must reject exactly the same inputs (rollback_log_test
+// fuzzes them against each other).
 
 void SavepointEntry::serialize(serial::Encoder& enc) const {
   enc.write_u32(id.value());
@@ -44,7 +49,7 @@ void SavepointEntry::serialize(serial::Encoder& enc) const {
 
 void SavepointEntry::deserialize(serial::Decoder& dec) {
   id = SavepointId(dec.read_u32());
-  origin = static_cast<SavepointOrigin>(dec.read_u8());
+  origin = dec.read_enum(SavepointOrigin::sub_itinerary);
   depth = dec.read_u32();
   lightweight = dec.read_bool();
   transition = dec.read_bool();
@@ -83,7 +88,7 @@ void OperationEntry::serialize(serial::Encoder& enc) const {
 }
 
 void OperationEntry::deserialize(serial::Decoder& dec) {
-  kind = static_cast<OpEntryKind>(dec.read_u8());
+  kind = dec.read_enum(OpEntryKind::mixed);
   comp_op = dec.read_string();
   params.deserialize(dec);
   resource_node = NodeId(dec.read_u32());
@@ -122,8 +127,7 @@ void LogEntry::serialize(serial::Encoder& enc) const {
 }
 
 void LogEntry::deserialize(serial::Decoder& dec) {
-  const auto tag = static_cast<EntryKind>(dec.read_u8());
-  switch (tag) {
+  switch (dec.read_enum(EntryKind::end_of_step)) {
     case EntryKind::savepoint: {
       SavepointEntry e;
       e.deserialize(dec);
@@ -148,8 +152,38 @@ void LogEntry::deserialize(serial::Decoder& dec) {
       body_ = std::move(e);
       break;
     }
-    default:
-      throw serial::DecodeError("bad log entry kind");
+  }
+}
+
+void LogEntry::skip(serial::Decoder& dec) {
+  switch (dec.read_enum(EntryKind::end_of_step)) {
+    case EntryKind::savepoint:
+      dec.skip(4);  // id
+      (void)dec.read_enum(SavepointOrigin::sub_itinerary);
+      dec.skip(4);  // depth
+      (void)dec.read_bool();  // lightweight
+      (void)dec.read_bool();  // transition
+      serial::skip_value(dec);
+      serial::skip_patch(dec);
+      dec.skip(4 * dec.read_count());  // resume position
+      return;
+    case EntryKind::begin_of_step:
+      dec.skip(4);
+      (void)dec.read_bytes_view();
+      return;
+    case EntryKind::operation:
+      (void)dec.read_enum(OpEntryKind::mixed);
+      (void)dec.read_bytes_view();
+      serial::skip_value(dec);
+      dec.skip(4);
+      (void)dec.read_bytes_view();
+      return;
+    case EntryKind::end_of_step:
+      dec.skip(4);
+      (void)dec.read_bool();  // has_mixed
+      (void)dec.read_bool();  // cannot_compensate
+      dec.skip(4 * dec.read_count());  // alternatives
+      return;
   }
 }
 
@@ -189,28 +223,53 @@ std::string LogEntry::to_string() const {
 // RollbackLog
 // ---------------------------------------------------------------------------
 
+void RollbackLog::materialize() const {
+  if (prefix_count_ == 0) return;
+  std::vector<LogEntry> all;
+  all.reserve(prefix_count_ + tail_.size());
+  serial::Decoder dec(prefix_);
+  for (std::size_t i = 0; i < prefix_count_; ++i) {
+    all.emplace_back().deserialize(dec);  // validated by deserialize()
+  }
+  std::move(tail_.begin(), tail_.end(), std::back_inserter(all));
+  tail_ = std::move(all);
+  serial::Bytes().swap(prefix_);
+  prefix_count_ = 0;
+}
+
 LogEntry RollbackLog::pop() {
-  MAR_CHECK_MSG(!entries_.empty(), "pop on empty rollback log");
-  LogEntry e = std::move(entries_.back());
-  entries_.pop_back();
+  MAR_CHECK_MSG(!empty(), "pop on empty rollback log");
+  if (tail_.empty()) materialize();
+  LogEntry e = std::move(tail_.back());
+  tail_.pop_back();
   append_clean_ = false;
   return e;
 }
 
 const LogEntry& RollbackLog::back() const {
-  MAR_CHECK_MSG(!entries_.empty(), "back on empty rollback log");
-  return entries_.back();
+  MAR_CHECK_MSG(!empty(), "back on empty rollback log");
+  if (tail_.empty()) materialize();
+  return tail_.back();
 }
 
 std::optional<SavepointId> RollbackLog::trailing_savepoint() const {
-  if (entries_.empty() || !entries_.back().is_savepoint()) {
+  if (!tail_.empty()) {
+    if (!tail_.back().is_savepoint()) return std::nullopt;
+    return tail_.back().savepoint().id;
+  }
+  if (prefix_count_ == 0) return std::nullopt;
+  // The last encoded entry: a kind tag, then (for an SP) its u32 id.
+  serial::Decoder dec(
+      std::span<const std::uint8_t>(prefix_).subspan(last_offset_));
+  if (static_cast<EntryKind>(dec.read_u8()) != EntryKind::savepoint) {
     return std::nullopt;
   }
-  return entries_.back().savepoint().id;
+  return SavepointId(dec.read_u32());
 }
 
 const EndOfStepEntry* RollbackLog::last_end_of_step() const {
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+  materialize();
+  for (auto it = tail_.rbegin(); it != tail_.rend(); ++it) {
     if (it->kind() == EntryKind::end_of_step) return &it->end_of_step();
     // Only savepoint entries may trail the last end-of-step entry.
     if (it->kind() != EntryKind::savepoint) return nullptr;
@@ -222,14 +281,27 @@ bool RollbackLog::contains_savepoint(SavepointId id) const {
   return find_savepoint(id) != nullptr;
 }
 
+bool RollbackLog::poisoned_since(SavepointId id) const {
+  materialize();
+  for (auto it = tail_.rbegin(); it != tail_.rend(); ++it) {
+    if (it->is_savepoint() && it->savepoint().id == id) break;
+    if (it->kind() == EntryKind::end_of_step &&
+        it->end_of_step().cannot_compensate) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<const OperationEntry*> RollbackLog::last_step_ops() const {
+  materialize();
   std::vector<const OperationEntry*> ops;
-  auto it = entries_.rbegin();
-  while (it != entries_.rend() && it->is_savepoint()) ++it;
-  if (it == entries_.rend() || it->kind() != EntryKind::end_of_step) {
+  auto it = tail_.rbegin();
+  while (it != tail_.rend() && it->is_savepoint()) ++it;
+  if (it == tail_.rend() || it->kind() != EntryKind::end_of_step) {
     return ops;
   }
-  for (++it; it != entries_.rend(); ++it) {
+  for (++it; it != tail_.rend(); ++it) {
     if (it->kind() == EntryKind::begin_of_step) break;
     if (it->kind() != EntryKind::operation) return {};  // malformed
     ops.push_back(&it->operation());
@@ -240,7 +312,8 @@ std::vector<const OperationEntry*> RollbackLog::last_step_ops() const {
 }
 
 const SavepointEntry* RollbackLog::find_savepoint(SavepointId id) const {
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+  materialize();
+  for (auto it = tail_.rbegin(); it != tail_.rend(); ++it) {
     if (it->is_savepoint() && it->savepoint().id == id) {
       return &it->savepoint();
     }
@@ -249,19 +322,22 @@ const SavepointEntry* RollbackLog::find_savepoint(SavepointId id) const {
 }
 
 SavepointId RollbackLog::first_savepoint() const {
-  for (const auto& e : entries_) {
+  materialize();
+  for (const auto& e : tail_) {
     if (e.is_savepoint()) return e.savepoint().id;
   }
   return SavepointId::invalid();
 }
 
 std::optional<bool> RollbackLog::gc_savepoint(SavepointId id) {
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (!entries_[i].is_savepoint() || entries_[i].savepoint().id != id) {
+  materialize();
+  auto& entries = tail_;
+  for (std::size_t i = entries.size(); i-- > 0;) {
+    if (!entries[i].is_savepoint() || entries[i].savepoint().id != id) {
       continue;
     }
-    SavepointEntry removed = std::move(entries_[i].savepoint());
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+    SavepointEntry removed = std::move(entries[i].savepoint());
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
     append_clean_ = false;  // interior removal (and possible chain rewrite)
     if (removed.lightweight) return false;  // carried no data
 
@@ -269,9 +345,9 @@ std::optional<bool> RollbackLog::gc_savepoint(SavepointId id) {
     // entry's data. (Lightweight savepoints after the removed one cannot
     // alias it: they would belong to a sub-itinerary nested inside the
     // completed one, which must have completed — and been GC'd — first.)
-    for (std::size_t j = i; j < entries_.size(); ++j) {
-      if (!entries_[j].is_savepoint()) continue;
-      auto& sp = entries_[j].savepoint();
+    for (std::size_t j = i; j < entries.size(); ++j) {
+      if (!entries[j].is_savepoint()) continue;
+      auto& sp = entries[j].savepoint();
       if (sp.lightweight) continue;
       if (!sp.transition) return false;  // self-contained; chain intact
       if (removed.transition) {
@@ -293,15 +369,16 @@ std::optional<bool> RollbackLog::gc_savepoint(SavepointId id) {
 }
 
 Result<serial::Value> RollbackLog::strong_state_at(SavepointId id) const {
+  const auto& entries = this->entries();
   // Locate the target savepoint.
-  std::size_t target = entries_.size();
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (entries_[i].is_savepoint() && entries_[i].savepoint().id == id) {
+  std::size_t target = entries.size();
+  for (std::size_t i = entries.size(); i-- > 0;) {
+    if (entries[i].is_savepoint() && entries[i].savepoint().id == id) {
       target = i;
       break;
     }
   }
-  if (target == entries_.size()) {
+  if (target == entries.size()) {
     return Status(Errc::not_found,
                   "savepoint not in log: " + std::to_string(id.value()));
   }
@@ -309,8 +386,8 @@ Result<serial::Value> RollbackLog::strong_state_at(SavepointId id) const {
   // data; transition savepoints carry deltas).
   std::size_t base = target + 1;
   for (std::size_t i = target + 1; i-- > 0;) {
-    if (!entries_[i].is_savepoint()) continue;
-    const auto& sp = entries_[i].savepoint();
+    if (!entries[i].is_savepoint()) continue;
+    const auto& sp = entries[i].savepoint();
     if (!sp.lightweight && !sp.transition) {
       base = i;
       break;
@@ -321,11 +398,11 @@ Result<serial::Value> RollbackLog::strong_state_at(SavepointId id) const {
                   "no full strong-object image at or before savepoint " +
                       std::to_string(id.value()));
   }
-  serial::Value state = entries_[base].savepoint().image;
+  serial::Value state = entries[base].savepoint().image;
   // Apply forward deltas of data-carrying savepoints up to the target.
   for (std::size_t i = base + 1; i <= target; ++i) {
-    if (!entries_[i].is_savepoint()) continue;
-    const auto& sp = entries_[i].savepoint();
+    if (!entries[i].is_savepoint()) continue;
+    const auto& sp = entries[i].savepoint();
     if (sp.lightweight) continue;
     MAR_CHECK_MSG(sp.transition,
                   "unexpected full image between base and target");
@@ -335,27 +412,39 @@ Result<serial::Value> RollbackLog::strong_state_at(SavepointId id) const {
 }
 
 void RollbackLog::serialize(serial::Encoder& enc) const {
-  enc.write_varint(entries_.size());
-  for (const auto& e : entries_) e.serialize(enc);
+  enc.write_varint(size());
+  enc.write_raw(prefix_);
+  for (const auto& e : tail_) e.serialize(enc);
 }
 
 void RollbackLog::deserialize(serial::Decoder& dec) {
-  entries_.resize(dec.read_count());
-  for (auto& e : entries_) e.deserialize(dec);
+  const auto count = dec.read_count();
+  const auto begin = dec.offset();
+  std::size_t last = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    last = dec.offset() - begin;
+    LogEntry::skip(dec);
+  }
+  const auto bytes = dec.consumed_since(begin);
+  prefix_.assign(bytes.begin(), bytes.end());
+  prefix_count_ = count;
+  last_offset_ = last;
+  tail_.clear();
   mark_baseline();  // decoded state == the durable state
 }
 
 std::size_t RollbackLog::byte_size() const {
-  std::size_t n = serial::varint_size(entries_.size());
-  for (const auto& e : entries_) n += e.byte_size();
+  std::size_t n = serial::varint_size(size()) + prefix_.size();
+  for (const auto& e : tail_) n += e.byte_size();
   return n;
 }
 
 std::string RollbackLog::to_string() const {
+  const auto& entries = this->entries();
   std::ostringstream os;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) os << " ";
-    os << entries_[i].to_string();
+    os << entries[i].to_string();
   }
   return os.str();
 }

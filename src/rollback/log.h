@@ -21,6 +21,15 @@
 // *state logging* stores a full image of the strongly reversible objects,
 // *transition logging* stores a forward delta from the previous savepoint,
 // with the full reconstruction and delta-merging (GC) machinery.
+//
+// Because the log travels with the agent, a decoded log is held in two
+// parts: the entries it was decoded with stay one validated ENCODED
+// PREFIX (their wire bytes, written back verbatim), and entries pushed
+// after the decode form a DECODED TAIL. A forward step only appends, so a
+// migration hop walks the prefix once to validate it and never builds its
+// entries; any query that needs them materializes the prefix in place,
+// once. Materialization mutates a const log, so a log (like the agent it
+// belongs to) must not be read from two threads at once.
 #pragma once
 
 #include <cstdint>
@@ -179,6 +188,9 @@ class LogEntry {
 
   void serialize(serial::Encoder& enc) const;
   void deserialize(serial::Decoder& dec);
+  /// Advance past one encoded entry without building it; throws
+  /// DecodeError wherever deserialize() would.
+  static void skip(serial::Decoder& dec);
   [[nodiscard]] std::size_t byte_size() const;
   [[nodiscard]] std::string to_string() const;
 
@@ -190,18 +202,24 @@ class LogEntry {
 
 class RollbackLog {
  public:
-  void push(LogEntry entry) { entries_.push_back(std::move(entry)); }
+  void push(LogEntry entry) { tail_.push_back(std::move(entry)); }
   /// Read and remove the last entry (the paper's LOG.pop()).
   [[nodiscard]] LogEntry pop();
   [[nodiscard]] const LogEntry& back() const;
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::size_t size() const {
+    return prefix_count_ + tail_.size();
+  }
+  /// Every entry, oldest first (materializes the encoded prefix).
   [[nodiscard]] const std::vector<LogEntry>& entries() const {
-    return entries_;
+    materialize();
+    return tail_;
   }
   /// Discard everything (top-level sub-itinerary completion, Sec. 4.4.2).
   void clear() {
-    entries_.clear();
+    serial::Bytes().swap(prefix_);
+    prefix_count_ = 0;
+    tail_.clear();
     append_clean_ = false;
   }
 
@@ -213,24 +231,31 @@ class RollbackLog {
   // commit to write a full image instead of an append-only delta.
   /// Start a fresh tracking window (after decode or a durable commit).
   void mark_baseline() {
-    baseline_ = entries_.size();
+    baseline_ = size();
     append_clean_ = true;
   }
   /// True while only pushes happened since the last baseline.
   [[nodiscard]] bool append_clean() const { return append_clean_; }
-  /// Entries pushed since the baseline (meaningful only when clean).
+  /// Entries pushed since the baseline (meaningful only when clean). They
+  /// are always decoded: the baseline never precedes the encoded prefix.
   [[nodiscard]] std::span<const LogEntry> appended_entries() const {
-    return std::span<const LogEntry>(entries_).subspan(baseline_);
+    return std::span<const LogEntry>(tail_).subspan(baseline_ -
+                                                    prefix_count_);
   }
 
   // --- queries used by the rollback algorithms ---------------------------
-  /// The savepoint id of the last entry, if the last entry is an SP.
+  /// The savepoint id of the last entry, if the last entry is an SP. Reads
+  /// an encoded last entry in place: forward steps ask this on every hop.
   [[nodiscard]] std::optional<SavepointId> trailing_savepoint() const;
   /// The node of the last end-of-step entry, skipping trailing savepoints
   /// (where the next compensation transaction must run, Fig. 4a).
   [[nodiscard]] const EndOfStepEntry* last_end_of_step() const;
   /// Whether the log contains a savepoint with this id.
   [[nodiscard]] bool contains_savepoint(SavepointId id) const;
+  /// Whether some step logged after savepoint `id` performed a
+  /// non-compensatable operation (Sec. 3.2): rolling back to `id` would
+  /// have to cross it. Steps before the newest SP `id` do not count.
+  [[nodiscard]] bool poisoned_since(SavepointId id) const;
   /// Operation entries of the last complete step segment (skipping
   /// trailing savepoint entries), in logging order. Empty when the log
   /// does not end with a BOS..EOS segment. The adaptive strategy prices
@@ -264,6 +289,8 @@ class RollbackLog {
   [[nodiscard]] SavepointId first_savepoint() const;
 
   void serialize(serial::Encoder& enc) const;
+  /// Validates every entry (throws DecodeError wherever decoding the
+  /// entries would) but keeps them encoded: they become the prefix.
   void deserialize(serial::Decoder& dec);
   /// Wire size of the whole log (what migration pays to carry it).
   [[nodiscard]] std::size_t byte_size() const;
@@ -272,7 +299,16 @@ class RollbackLog {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::vector<LogEntry> entries_;
+  /// Decode the encoded prefix in front of the tail; afterwards tail_
+  /// holds every entry. Idempotent.
+  void materialize() const;
+
+  // The log is prefix_count_ encoded entries (prefix_, back to back; the
+  // last one starts at last_offset_) followed by the decoded tail_.
+  mutable serial::Bytes prefix_;
+  mutable std::size_t prefix_count_ = 0;
+  mutable std::size_t last_offset_ = 0;
+  mutable std::vector<LogEntry> tail_;
   // Runtime-only append tracking; not serialized.
   std::size_t baseline_ = 0;
   bool append_clean_ = true;

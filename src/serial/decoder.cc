@@ -109,6 +109,10 @@ void Decoder::skip(std::size_t n) {
   pos_ += n;
 }
 
+void Decoder::bad_enum(std::uint8_t v) {
+  throw DecodeError("enum byte out of range: " + std::to_string(v));
+}
+
 void Decoder::expect_end() const {
   if (!at_end()) {
     throw DecodeError("trailing bytes after decode: " +

@@ -51,10 +51,23 @@ class Decoder {
   std::uint64_t read_count();
   /// Advance past `n` bytes without reading them (bounds-checked).
   void skip(std::size_t n);
+  /// A one-byte enum, range-checked against its last enumerator: a
+  /// flipped byte must not become a value no switch downstream handles.
+  template <typename E>
+  E read_enum(E last) {
+    const auto v = read_u8();
+    if (v > static_cast<std::uint8_t>(last)) bad_enum(v);
+    return static_cast<E>(v);
+  }
 
   /// Bytes consumed so far: the offset of the next read. Skip routines use
   /// it to slice encoded sections out of the buffer without decoding them.
   [[nodiscard]] std::size_t offset() const { return pos_; }
+  /// The bytes consumed since offset `begin` (a view into the buffer).
+  [[nodiscard]] std::span<const std::uint8_t> consumed_since(
+      std::size_t begin) const {
+    return data_.subspan(begin, pos_ - begin);
+  }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 
@@ -63,6 +76,7 @@ class Decoder {
 
  private:
   void need(std::size_t n) const;
+  [[noreturn]] static void bad_enum(std::uint8_t v);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

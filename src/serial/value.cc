@@ -409,6 +409,27 @@ void ValuePatch::deserialize(Decoder& dec) {
   }
 }
 
+void skip_patch(Decoder& dec) {
+  const auto tag = dec.read_u8();
+  switch (static_cast<ValuePatch::Kind>(tag)) {
+    case ValuePatch::Kind::none:
+    case ValuePatch::Kind::remove:
+      return;
+    case ValuePatch::Kind::set:
+      skip_value(dec);
+      return;
+    case ValuePatch::Kind::map: {
+      const auto n = dec.read_count();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        (void)dec.read_bytes_view();
+        skip_patch(dec);
+      }
+      return;
+    }
+  }
+  throw DecodeError("invalid ValuePatch kind tag " + std::to_string(tag));
+}
+
 std::size_t ValuePatch::encoded_size() const {
   std::size_t n = 1;  // kind tag
   switch (kind_) {

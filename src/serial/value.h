@@ -161,6 +161,10 @@ class ValuePatch {
   std::map<std::string, ValuePatch> entries_;   // for map
 };
 
+/// Advance `dec` past one encoded ValuePatch without building it; throws
+/// DecodeError wherever ValuePatch::deserialize would.
+void skip_patch(Decoder& dec);
+
 /// Patch such that apply(diff(from, to), from) == to. Map values diff
 /// per key (recursively); everything else becomes a whole-value set.
 [[nodiscard]] ValuePatch diff(const Value& from, const Value& to);

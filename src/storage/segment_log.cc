@@ -7,29 +7,6 @@
 namespace mar::storage {
 namespace {
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n,
-                    std::uint32_t seed = 0) {
-  static constexpr auto kTable = make_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -42,6 +19,28 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// Slice-by-8 tables: table[0] is the classic bytewise table of the
+// reflected polynomial 0xEDB88320; table[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight input bytes fold in one step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
 constexpr std::size_t kFrameHeader = 8;  // crc32 + len
@@ -57,6 +56,20 @@ std::uint64_t mix64(std::uint64_t& state) {
 }
 
 }  // namespace
+
+std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
+  static constexpr CrcTables kT = make_crc_tables();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = c ^ get_u32(data);
+    const std::uint32_t hi = get_u32(data + 4);
+    c = kT[7][lo & 0xFFu] ^ kT[6][(lo >> 8) & 0xFFu] ^
+        kT[5][(lo >> 16) & 0xFFu] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xFFu] ^
+        kT[2][(hi >> 8) & 0xFFu] ^ kT[1][(hi >> 16) & 0xFFu] ^ kT[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) c = kT[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
 
 const char* to_string(StorageFault fault) {
   switch (fault) {
@@ -101,22 +114,26 @@ std::size_t SegmentLog::append_frame(Op op, const std::string& key,
   const std::size_t frame_size = kFrameHeader + payload_size;
   Segment& seg = active_segment(frame_size);
 
-  std::vector<std::uint8_t> frame;
-  frame.reserve(frame_size);
-  put_u32(frame, 0);  // crc placeholder
-  put_u32(frame, static_cast<std::uint32_t>(payload_size));
-  frame.push_back(static_cast<std::uint8_t>(op));
-  put_u32(frame, static_cast<std::uint32_t>(key.size()));
-  frame.insert(frame.end(), key.begin(), key.end());
-  frame.insert(frame.end(), data.begin(), data.end());
+  // The frame is written straight into the segment, then sealed in place.
+  auto& out = seg.bytes;
+  const std::size_t begin = out.size();
+  if (out.capacity() < begin + frame_size) {
+    // Geometric growth keeps a segment's appends amortized O(1).
+    out.reserve(std::max(begin + frame_size, 2 * out.capacity()));
+  }
+  put_u32(out, 0);  // crc placeholder
+  put_u32(out, static_cast<std::uint32_t>(payload_size));
+  out.push_back(static_cast<std::uint8_t>(op));
+  put_u32(out, static_cast<std::uint32_t>(key.size()));
+  out.insert(out.end(), key.begin(), key.end());
+  out.insert(out.end(), data.begin(), data.end());
   // CRC covers len + payload so a torn length header fails the same check.
-  const std::uint32_t crc = crc32(frame.data() + 4, frame.size() - 4);
-  frame[0] = static_cast<std::uint8_t>(crc);
-  frame[1] = static_cast<std::uint8_t>(crc >> 8);
-  frame[2] = static_cast<std::uint8_t>(crc >> 16);
-  frame[3] = static_cast<std::uint8_t>(crc >> 24);
+  const std::uint32_t crc = crc32(out.data() + begin + 4, frame_size - 4);
+  out[begin] = static_cast<std::uint8_t>(crc);
+  out[begin + 1] = static_cast<std::uint8_t>(crc >> 8);
+  out[begin + 2] = static_cast<std::uint8_t>(crc >> 16);
+  out[begin + 3] = static_cast<std::uint8_t>(crc >> 24);
 
-  seg.bytes.insert(seg.bytes.end(), frame.begin(), frame.end());
   ++seg.frames;
   ++seg.live;
   ++next_lsn_;

@@ -70,6 +70,11 @@ class CorruptionError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `n` bytes: the
+/// frame and checkpoint checksum. Slice-by-8; the bytewise table loop
+/// gives the same values.
+[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
+
 struct SegmentLogConfig {
   /// Rotation threshold: a segment accepting a frame that would push it
   /// past this many bytes is sealed first. One oversized frame still

@@ -153,6 +153,19 @@ std::string run_scenario(
     if (ids.size() == before) break;
   }
 
+  // Every final image captures identically after a lazy decode and after
+  // an eager one (every log entry built, itinerary re-encoded).
+  for (const auto id : ids) {
+    const auto& image = w.platform.outcome(id).final_agent;
+    if (image.empty()) continue;
+    const auto lazy = agent::decode_agent(w.platform.agent_types(), image);
+    EXPECT_EQ(agent::encode_agent(*lazy), image) << "agent " << id.value();
+    auto eager = agent::decode_agent(w.platform.agent_types(), image);
+    (void)eager->log().entries();
+    (void)eager->itinerary();
+    EXPECT_EQ(agent::encode_agent(*eager), image) << "agent " << id.value();
+  }
+
   std::ostringstream os;
   os << "== trace ==\n";
   w.trace.print(os);

@@ -14,6 +14,7 @@
 //     crashes landing during compaction and during a checkpoint window.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "harness/world.h"
 #include "storage/segment_log.h"
 #include "storage/stable_storage.h"
+#include "util/rng.h"
 
 namespace mar {
 namespace {
@@ -45,6 +47,43 @@ serial::Bytes bytes_of(const std::string& s) {
 // ---------------------------------------------------------------------------
 // Unit level: SegmentLog
 // ---------------------------------------------------------------------------
+
+/// The bytewise table loop the frame checksum used before slice-by-8:
+/// the reference the fast path must match value for value.
+std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t n) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SegmentLogTest, Crc32MatchesCheckValueAndBytewiseTable) {
+  const std::string check = "123456789";
+  const auto* p = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(storage::crc32(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(bytewise_crc32(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(storage::crc32(p, 0), 0u);
+  Rng rng(0xc4c);
+  std::vector<std::uint8_t> buf(8192);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (int round = 0; round < 2000; ++round) {
+    // Every alignment and every tail length of the 8-byte stride.
+    const auto off = rng.next_below(4097);
+    const auto len = rng.next_below(4097);
+    ASSERT_EQ(storage::crc32(buf.data() + off, len),
+              bytewise_crc32(buf.data() + off, len))
+        << "offset " << off << ", length " << len;
+  }
+}
 
 TEST(SegmentLogTest, RotationAndRetirement) {
   SegmentLog log(SegmentLogConfig{/*segment_bytes=*/128});

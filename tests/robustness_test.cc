@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "harness/agents.h"
 #include "harness/world.h"
@@ -89,6 +90,176 @@ TEST(FuzzDecode, StepWithoutLocationsIsRejected) {
   bytes.erase(count + 1, count + 5);
   const auto reg = registry_with_workload();
   EXPECT_THROW((void)agent::decode_agent(reg, bytes), serial::DecodeError);
+  // The ship layer's scan walks the itinerary with Itinerary::skip, which
+  // must reject it too.
+  EXPECT_THROW((void)agent::scan_agent_image(bytes), serial::DecodeError);
+}
+
+// --- enum bytes: an out-of-range value is a DecodeError -------------------
+
+/// `bytes` with the byte at `at` replaced by `v`.
+serial::Bytes with_byte(serial::Bytes bytes, std::size_t at, std::uint8_t v) {
+  bytes.at(at) = v;
+  return bytes;
+}
+
+std::size_t offset_in(const serial::Bytes& image,
+                      std::span<const std::uint8_t> section) {
+  return static_cast<std::size_t>(section.data() - image.data());
+}
+
+/// The first log entry of `agent`'s image with one byte replaced: the
+/// image, and the entry alone (for LogEntry's decoder and skip walk).
+struct BadEntry {
+  serial::Bytes image;
+  serial::Bytes entry;
+};
+
+BadEntry corrupt_first_entry(const agent::Agent& agent, std::size_t at,
+                             std::uint8_t v) {
+  const auto image = agent::encode_agent(agent);
+  const auto first = serial::to_bytes(agent.log().entries().front());
+  const auto start =
+      offset_in(image, agent::scan_agent_image(image).log_entries);
+  return {with_byte(image, start + at, v), with_byte(first, at, v)};
+}
+
+void expect_entry_rejected(const BadEntry& bad) {
+  const auto reg = registry_with_workload();
+  EXPECT_THROW((void)agent::decode_agent(reg, bad.image), serial::DecodeError);
+  EXPECT_THROW((void)serial::from_bytes<rollback::LogEntry>(bad.entry),
+               serial::DecodeError);
+  serial::Decoder dec(bad.entry);
+  EXPECT_THROW(rollback::LogEntry::skip(dec), serial::DecodeError);
+}
+
+TEST(FuzzDecode, OutOfRangeRunStateIsRejected) {
+  const auto reg = registry_with_workload();
+  const auto image = encoded_sample_agent();
+  const auto at = agent::scan_agent_image(image).head.size();
+  ASSERT_EQ(image[at], 0);  // fresh
+  const auto bad = with_byte(image, at, 3);
+  EXPECT_THROW((void)agent::decode_agent(reg, bad), serial::DecodeError);
+  EXPECT_THROW((void)agent::scan_agent_image(bad), serial::DecodeError);
+  // A delta record leads with the run state.
+  auto agent = agent::decode_agent(reg, image);
+  const auto delta = with_byte(agent::encode_agent_delta(*agent), 0, 3);
+  EXPECT_THROW(agent::apply_agent_delta(*agent, delta), serial::DecodeError);
+  EXPECT_THROW((void)agent::apply_image_delta(image, delta),
+               serial::DecodeError);
+}
+
+TEST(FuzzDecode, OutOfRangeSavepointOriginIsRejected) {
+  WorkloadAgent agent;
+  rollback::SavepointEntry sp;
+  sp.id = SavepointId(1);
+  sp.origin = rollback::SavepointOrigin::sub_itinerary;
+  agent.log().push(sp);
+  // kind tag, u32 id, then the origin byte
+  expect_entry_rejected(corrupt_first_entry(agent, 5, 2));
+}
+
+TEST(FuzzDecode, OutOfRangeSavepointStackOriginIsRejected) {
+  WorkloadAgent agent;
+  agent.savepoint_stack().push_back(
+      {SavepointId(1), rollback::SavepointOrigin::sub_itinerary, 1});
+  const auto image = agent::encode_agent(agent);
+  // The fields open with the (empty) position and the stack count; the
+  // stack entry is a u32 id, then the origin byte.
+  const auto at =
+      offset_in(image, agent::scan_agent_image(image).fields) + 1 + 1 + 4;
+  ASSERT_EQ(image[at], 1);
+  const auto bad = with_byte(image, at, 2);
+  const auto reg = registry_with_workload();
+  EXPECT_THROW((void)agent::decode_agent(reg, bad), serial::DecodeError);
+  EXPECT_THROW((void)agent::scan_agent_image(bad), serial::DecodeError);
+}
+
+TEST(FuzzDecode, OutOfRangeOpEntryKindIsRejected) {
+  WorkloadAgent agent;
+  rollback::OperationEntry op;
+  op.kind = rollback::OpEntryKind::mixed;
+  op.comp_op = "comp.x";
+  agent.log().push(op);
+  expect_entry_rejected(corrupt_first_entry(agent, 1, 3));  // after the tag
+}
+
+TEST(FuzzDecode, OutOfRangeConditionOpIsRejected) {
+  // The sample's conditional step tests weak slot "touches" with ge (7).
+  auto image = encoded_sample_agent();
+  const std::string slot = "touches";
+  serial::Bytes needle{static_cast<std::uint8_t>(slot.size())};
+  needle.insert(needle.end(), slot.begin(), slot.end());
+  needle.push_back(7);
+  const auto at = std::search(image.begin(), image.end(), needle.begin(),
+                              needle.end());
+  ASSERT_NE(at, image.end());
+  *(at + static_cast<long>(needle.size()) - 1) = 8;
+  const auto reg = registry_with_workload();
+  EXPECT_THROW((void)agent::decode_agent(reg, image), serial::DecodeError);
+  EXPECT_THROW((void)agent::scan_agent_image(image), serial::DecodeError);
+}
+
+TEST(FuzzDecode, ItinerarySkipRejectsExactlyWhatDeserializeRejects) {
+  const auto reg = registry_with_workload();
+  Itinerary plain;
+  plain.step("a", TestWorld::n(1))
+      .step("b", {TestWorld::n(2), TestWorld::n(3)});
+  Itinerary main;
+  main.sub(std::move(plain), /*vital=*/false);
+  const std::vector<serial::Bytes> samples = {
+      serial::to_bytes(
+          agent::decode_agent(reg, encoded_sample_agent())->itinerary()),
+      serial::to_bytes(main)};
+  Rng rng(0x5c1b);
+  int accepted = 0;
+  int rejected = 0;
+  for (const auto& bytes : samples) {
+    std::vector<serial::Bytes> inputs;
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+      inputs.emplace_back(bytes.begin(),
+                          bytes.begin() + static_cast<long>(len));
+    }
+    // Every byte zeroed in turn (a location count of zero among them),
+    // then random flips.
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+      inputs.push_back(with_byte(bytes, at, 0));
+    }
+    for (int round = 0; round < 3000; ++round) {
+      auto b = bytes;
+      for (auto flips = 1 + rng.next_below(3); flips > 0; --flips) {
+        b[rng.next_below(b.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      inputs.push_back(std::move(b));
+    }
+    for (const auto& in : inputs) {
+      serial::Decoder full(in);
+      serial::Decoder skip(in);
+      bool full_ok = true;
+      bool skip_ok = true;
+      try {
+        Itinerary it;
+        it.deserialize(full);
+      } catch (const serial::DecodeError&) {
+        full_ok = false;
+      }
+      try {
+        Itinerary::skip(skip);
+      } catch (const serial::DecodeError&) {
+        skip_ok = false;
+      }
+      ASSERT_EQ(skip_ok, full_ok) << "input of " << in.size() << " bytes";
+      if (full_ok) {
+        ASSERT_EQ(skip.offset(), full.offset());
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 TEST(FuzzDecode, EveryTruncationThrowsOrDecodes) {

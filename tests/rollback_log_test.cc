@@ -1,7 +1,11 @@
 // Unit tests for the rollback log (Sec. 4.2): entry layout, Fig. 2
-// structure, savepoint GC under state and transition logging, and
-// strong-state reconstruction.
+// structure, savepoint GC under state and transition logging,
+// strong-state reconstruction, and the lazy decode (encoded prefix +
+// decoded tail) against an eager reference decoder.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <set>
 
 #include "rollback/log.h"
 #include "serial/serializable.h"
@@ -310,6 +314,251 @@ TEST_P(GcChainProperty, ReconstructionSurvivesRandomGc) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcChainProperty,
                          ::testing::Values(2, 71, 828, 1828));
+
+// --------------------------------------------------------------------------
+// Lazy decode: the entries a log was decoded with stay encoded
+// --------------------------------------------------------------------------
+
+/// The eager decoder the log had before it kept decoded entries encoded:
+/// every entry is built on the spot. The reference for the lazy decode.
+std::vector<LogEntry> eager_decode(std::span<const std::uint8_t> bytes) {
+  serial::Decoder dec(bytes);
+  std::vector<LogEntry> entries(dec.read_count());
+  for (auto& e : entries) e.deserialize(dec);
+  dec.expect_end();
+  return entries;
+}
+
+/// A log built by pushes only, so every entry is decoded.
+RollbackLog decoded_log(std::vector<LogEntry> entries) {
+  RollbackLog log;
+  for (auto& e : entries) log.push(std::move(e));
+  log.mark_baseline();
+  return log;
+}
+
+serial::Bytes entry_bytes(std::span<const LogEntry> entries) {
+  serial::Encoder enc;  // mar-lint: small-frame
+  for (const auto& e : entries) e.serialize(enc);
+  return std::move(enc).take();
+}
+
+/// A random Value without reals (whose NaNs defeat equality checks).
+Value random_value(Rng& rng, int depth) {
+  switch (rng.next_below(depth > 0 ? 6 : 4)) {
+    case 0: return {};
+    case 1: return Value(rng.next_bool());
+    case 2: return Value(rng.next_in(-500, 500));
+    case 3: return Value("v" + std::to_string(rng.next_below(20)));
+    case 4: {
+      auto l = Value::empty_list();
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        l.push_back(random_value(rng, depth - 1));
+      }
+      return l;
+    }
+    default: {
+      auto m = Value::empty_map();
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        m.set("k" + std::to_string(rng.next_below(4)),
+              random_value(rng, depth - 1));
+      }
+      return m;
+    }
+  }
+}
+
+/// Savepoint ids come from a small range so lookups and GC find them.
+LogEntry random_entry(Rng& rng) {
+  const auto node = NodeId(static_cast<std::uint32_t>(1 + rng.next_below(4)));
+  switch (rng.next_below(4)) {
+    case 0: {
+      SavepointEntry sp;
+      sp.id = SavepointId(static_cast<std::uint32_t>(1 + rng.next_below(6)));
+      sp.origin = rng.next_bool() ? SavepointOrigin::adhoc
+                                  : SavepointOrigin::sub_itinerary;
+      sp.depth = static_cast<std::uint32_t>(rng.next_below(3));
+      sp.lightweight = rng.next_below(4) == 0;
+      sp.transition = !sp.lightweight && rng.next_bool();
+      if (sp.transition) {
+        sp.delta = serial::diff(random_value(rng, 2), random_value(rng, 2));
+      } else if (!sp.lightweight) {
+        sp.image = random_value(rng, 2);
+      }
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        sp.resume_position.push_back(
+            static_cast<std::uint32_t>(rng.next_below(5)));
+      }
+      return sp;
+    }
+    case 1:
+      return BeginOfStepEntry{node, "s" + std::to_string(rng.next_below(5))};
+    case 2: {
+      OperationEntry oe = op(static_cast<OpEntryKind>(rng.next_below(3)),
+                             "c" + std::to_string(rng.next_below(5)));
+      oe.params = random_value(rng, 2);
+      return oe;
+    }
+    default: {
+      EndOfStepEntry eos;
+      eos.node = node;
+      eos.has_mixed = rng.next_bool();
+      eos.cannot_compensate = rng.next_below(6) == 0;
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        eos.alternatives.push_back(
+            NodeId(static_cast<std::uint32_t>(1 + rng.next_below(4))));
+      }
+      return eos;
+    }
+  }
+}
+
+TEST(LazyLogTest, DecodeRejectsExactlyWhatTheEagerDecoderRejects) {
+  Rng rng(0x1a2f);
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 150; ++round) {
+    RollbackLog log;
+    for (auto n = 1 + rng.next_below(8); n > 0; --n) {
+      log.push(random_entry(rng));
+    }
+    const auto bytes = serial::to_bytes(log);
+    std::vector<serial::Bytes> inputs;
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      inputs.emplace_back(bytes.begin(),
+                          bytes.begin() + static_cast<long>(len));
+    }
+    for (int f = 0; f < 60; ++f) {
+      auto b = bytes;
+      for (auto flips = 1 + rng.next_below(3); flips > 0; --flips) {
+        b[rng.next_below(b.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      inputs.push_back(std::move(b));
+    }
+    for (const auto& in : inputs) {
+      std::optional<std::vector<LogEntry>> eager;
+      try {
+        eager = eager_decode(in);
+      } catch (const serial::DecodeError&) {
+      }
+      std::optional<RollbackLog> lazy;
+      try {
+        lazy = serial::from_bytes<RollbackLog>(in);
+      } catch (const serial::DecodeError&) {
+      }
+      ASSERT_EQ(lazy.has_value(), eager.has_value())
+          << "round " << round << ", input of " << in.size() << " bytes";
+      if (!lazy.has_value()) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(lazy->size(), eager->size());
+      EXPECT_EQ(entry_bytes(lazy->entries()), entry_bytes(*eager));
+    }
+    // The untouched image is canonical: written back byte for byte.
+    EXPECT_EQ(serial::to_bytes(serial::from_bytes<RollbackLog>(bytes)), bytes);
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 10000);
+}
+
+/// Compare a lazily decoded log with its fully decoded twin: bytes, sizes,
+/// append tracking, and every query (run on a copy, so the lazy log stays
+/// lazy for the operations that follow).
+void expect_same(const RollbackLog& lazy, const RollbackLog& ref, Rng& rng) {
+  ASSERT_EQ(serial::to_bytes(lazy), serial::to_bytes(ref));
+  ASSERT_EQ(lazy.size(), ref.size());
+  ASSERT_EQ(lazy.byte_size(), ref.byte_size());
+  ASSERT_EQ(lazy.append_clean(), ref.append_clean());
+  if (ref.append_clean()) {
+    ASSERT_EQ(entry_bytes(lazy.appended_entries()),
+              entry_bytes(ref.appended_entries()));
+  }
+  ASSERT_EQ(lazy.trailing_savepoint(), ref.trailing_savepoint());
+  const auto id =
+      SavepointId(static_cast<std::uint32_t>(1 + rng.next_below(6)));
+  const RollbackLog probe = lazy;
+  const auto* eos = probe.last_end_of_step();
+  ASSERT_EQ(eos == nullptr, ref.last_end_of_step() == nullptr);
+  if (eos != nullptr) {
+    ASSERT_EQ(*eos, *ref.last_end_of_step());
+  }
+  ASSERT_EQ(RollbackLog(lazy).contains_savepoint(id),
+            ref.contains_savepoint(id));
+  ASSERT_EQ(RollbackLog(lazy).poisoned_since(id), ref.poisoned_since(id));
+  ASSERT_EQ(RollbackLog(lazy).first_savepoint(), ref.first_savepoint());
+  ASSERT_EQ(RollbackLog(lazy).last_step_ops().size(),
+            ref.last_step_ops().size());
+  const auto state = RollbackLog(lazy).strong_state_at(id);
+  const auto ref_state = ref.strong_state_at(id);
+  ASSERT_EQ(state.is_ok(), ref_state.is_ok());
+  if (state.is_ok()) {
+    ASSERT_EQ(state.value(), ref_state.value());
+  }
+  ASSERT_EQ(RollbackLog(lazy).to_string(), ref.to_string());
+}
+
+TEST(LazyLogTest, OperationSequencesMatchAFullyDecodedLog) {
+  enum Op { push, pop, gc, clear, baseline, round_trip, count };
+  std::vector<int> ran(count, 0);
+  int lazy_pops = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    RollbackLog lazy;
+    RollbackLog ref;
+    bool encoded_tail_empty = false;  // lazy's tail is empty after decode
+    for (int step = 0; step < 40; ++step) {
+      const auto roll = rng.next_below(10);
+      const Op o = roll < 4    ? push
+                   : roll < 6  ? round_trip
+                   : roll == 6 ? pop
+                   : roll == 7 ? gc
+                   : roll == 8 ? baseline
+                               : (rng.next_below(3) == 0 ? clear : push);
+      ++ran[o];
+      switch (o) {
+        case push: {
+          const auto e = random_entry(rng);
+          lazy.push(e);
+          ref.push(e);
+          encoded_tail_empty = false;
+          break;
+        }
+        case pop:
+          if (ref.empty()) break;
+          lazy_pops += encoded_tail_empty ? 1 : 0;
+          ASSERT_EQ(serial::to_bytes(lazy.pop()), serial::to_bytes(ref.pop()));
+          break;
+        case gc: {
+          const auto id =
+              SavepointId(static_cast<std::uint32_t>(1 + rng.next_below(6)));
+          ASSERT_EQ(lazy.gc_savepoint(id), ref.gc_savepoint(id));
+          break;
+        }
+        case clear:
+          lazy.clear();
+          ref.clear();
+          break;
+        case baseline:
+          lazy.mark_baseline();
+          ref.mark_baseline();
+          break;
+        default: {
+          const auto bytes = serial::to_bytes(lazy);
+          lazy = serial::from_bytes<RollbackLog>(bytes);
+          ref = decoded_log(eager_decode(bytes));
+          encoded_tail_empty = !ref.empty();
+          break;
+        }
+      }
+      expect_same(lazy, ref, rng);
+    }
+  }
+  for (int k = 0; k < count; ++k) EXPECT_GT(ran[k], 300) << "op " << k;
+  EXPECT_GT(lazy_pops, 100);  // pops that had to open the encoded prefix
+}
 
 }  // namespace
 }  // namespace mar::rollback

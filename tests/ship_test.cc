@@ -626,6 +626,54 @@ TEST(ImageDeltaFuzz, MatchesObjectLevelDiffAndApplyOverSeededHistories) {
   }
 }
 
+/// Turn a decoded agent into an eagerly decoded one: every log entry
+/// built, and the itinerary encoded from its objects on the next capture.
+void make_eager(agent::Agent& ag) {
+  (void)ag.log().entries();
+  (void)ag.itinerary();  // the mutable accessor drops the kept encoding
+}
+
+TEST(ImageDeltaFuzz, LazyDecodeCapturesLikeEagerDecodeOverSeededHistories) {
+  const auto reg = workload_registry();
+  int images = 0;
+  int deltas = 0;
+  for (int seed = 1; seed <= 1000; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    auto ag = std::make_unique<WorkloadAgent>();
+    Itinerary main_it;
+    main_it.sub(random_itinerary(rng, 3));
+    ag->itinerary() = std::move(main_it);
+    for (auto n = rng.next_below(12); n > 0; --n) (void)mutate(*ag, rng);
+    const auto bytes = agent::encode_agent(*ag);
+    auto lazy = agent::decode_agent(reg, bytes);
+    auto eager = agent::decode_agent(reg, bytes);
+    make_eager(*eager);
+    ASSERT_EQ(agent::encode_agent(*lazy), bytes) << "seed " << seed;
+    ASSERT_EQ(agent::encode_agent(*eager), bytes) << "seed " << seed;
+    // The rest of the history runs on the original and on both decodes.
+    for (auto n = 1 + rng.next_below(8); n > 0; --n) {
+      const auto step_seed = rng.next_u64();
+      for (agent::Agent* a : {static_cast<agent::Agent*>(ag.get()),
+                              lazy.get(), eager.get()}) {
+        Rng step_rng(step_seed);
+        (void)mutate(*a, step_rng);
+      }
+      const auto want = agent::encode_agent(*ag);
+      ASSERT_EQ(agent::encode_agent(*lazy), want) << "seed " << seed;
+      ASSERT_EQ(agent::encode_agent(*eager), want) << "seed " << seed;
+      ++images;
+    }
+    if (lazy->delta_ready()) {
+      ASSERT_EQ(agent::encode_agent_delta(*lazy),
+                agent::encode_agent_delta(*eager))
+          << "seed " << seed;
+      ++deltas;
+    }
+  }
+  EXPECT_GT(images, 3000);
+  EXPECT_GT(deltas, 100);
+}
+
 // --------------------------------------------------------------------------
 // End-to-end delta shipping
 // --------------------------------------------------------------------------
