@@ -68,6 +68,32 @@ class SpawnerAgent final : public agent::Agent {
   }
 };
 
+/// A heavy strong state (migrating is dear), then a step whose mixed
+/// compensation the resource node refuses, then a sub rollback.
+class RefusedMixedAgent final : public agent::Agent {
+ public:
+  RefusedMixedAgent() { data().declare_strong("blob", serial::Bytes{}); }
+  std::string type_name() const override { return "refused_mixed"; }
+  void run_step(const std::string& step, StepContext& ctx) override {
+    if (step == "heavy") {
+      data().strong("blob") = serial::Bytes(16 * 1024, std::uint8_t{0x5A});
+    } else if (step == "refusable") {
+      ctx.log_mixed_compensation("dir", "comp.refuse",
+                                 serial::Value::empty_map());
+    } else if (step == "rollback") {
+      ctx.request_rollback_sub_itinerary();
+    }
+  }
+};
+
+void register_refusal(agent::Platform& platform) {
+  platform.agent_types().register_type<RefusedMixedAgent>("refused_mixed");
+  platform.compensations().register_op(
+      "comp.refuse", [](rollback::CompensationContext&) {
+        return Status(Errc::compensation_failed, "refused");
+      });
+}
+
 std::unique_ptr<SpawnerAgent> spawner(bool rollback) {
   auto agent = std::make_unique<SpawnerAgent>();
   agent->data().weak("rollback") = rollback;
@@ -319,6 +345,54 @@ std::vector<Scenario> scenarios() {
                        agent->set_config("param_bytes", 16);
                        return launch(w, std::move(agent));
                      });
+               }});
+  s.push_back({"rollback_optimized_mixed", [] {
+                 // A mixed step on node 2 rolled back from node 3: the
+                 // agent travels to node 2 and runs its MCE there.
+                 return run_scenario(
+                     with_strategy(RollbackStrategy::optimized), 3,
+                     [](TestWorld& w) {
+                       auto agent = workload(single_sub({{"touch_split", 1},
+                                                         {"touch_mixed", 2},
+                                                         {"noop", 3}}));
+                       agent->set_trigger("noop", 3, "sub", 0);
+                       return launch(w, std::move(agent));
+                     });
+               }});
+  s.push_back({"rollback_adaptive_migrate", [] {
+                 // A heavy weak state: shipping it to the mixed steps'
+                 // nodes and back is priced dearer than migrating.
+                 return run_scenario(
+                     with_strategy(RollbackStrategy::adaptive), 4,
+                     [](TestWorld& w) {
+                       auto agent = workload(single_sub(
+                           {{"grow_weak", 1},
+                            {"touch_mixed", 2},
+                            {"touch_mixed", 3},
+                            {"noop", 4}}));
+                       agent->set_trigger("noop", 4, "sub", 0);
+                       agent->set_config("weak_bytes", 16 * 1024);
+                       agent->set_config("param_bytes", 16);
+                       return launch(w, std::move(agent));
+                     });
+               }});
+  s.push_back({"adaptive_mce_nack", [] {
+                 // The shipped mixed entry is refused at node 2 on every
+                 // attempt until max_compensation_attempts fails the run.
+                 PlatformConfig cfg = with_strategy(RollbackStrategy::adaptive);
+                 cfg.max_compensation_attempts = 3;
+                 return run_scenario(cfg, 3, [](TestWorld& w) {
+                   register_refusal(w.platform);
+                   auto agent = std::make_unique<RefusedMixedAgent>();
+                   Itinerary sub;
+                   sub.step("heavy", TestWorld::n(1))
+                       .step("refusable", TestWorld::n(2))
+                       .step("rollback", TestWorld::n(3));
+                   Itinerary main;
+                   main.sub(std::move(sub));
+                   agent->itinerary() = std::move(main);
+                   return launch(w, std::move(agent));
+                 });
                }});
   s.push_back({"skip_sub", [] {
                  return run_scenario({}, 4, [](TestWorld& w) {
