@@ -494,22 +494,17 @@ void NodeRuntime::handle_message(const net::Message& m) {
     for (auto& op : ops) op.deserialize(dec);
     std::optional<serial::Value> weak;
     if (m.type == msg::mce_exec) weak.emplace().deserialize(dec);
-    txm_.note_remote_staged(tx);
     const auto service =
         static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-    timers_.after(service, [this, tx, ops = std::move(ops),
-                            weak = std::move(weak), from = m.from]() mutable {
-      Status st = Status::ok();
-      for (const auto& op : ops) {
-        st = run_comp_op(tx, op, weak ? &*weak : nullptr);
-        if (!st.is_ok()) break;
-      }
+    serve(tx, service, [this, tx, ops = std::move(ops), weak = std::move(weak),
+                        from = m.from]() mutable {
+      const Status st = run_comp_ops(tx, ops, weak ? &*weak : nullptr);
       serial::Encoder enc(8 + 1 + (weak ? weak->encoded_size() : 0));
       enc.write_u64(tx.value());
       enc.write_bool(st.is_ok());
       if (weak) weak->serialize(enc);
-      p_.net().send(net::Message{id_, from, weak ? msg::mce_ack : msg::rce_ack,
-                                 std::move(enc).take()});
+      return net::Message{id_, from, weak ? msg::mce_ack : msg::rce_ack,
+                          std::move(enc).take()};
     });
     return;
   }
@@ -517,22 +512,23 @@ void NodeRuntime::handle_message(const net::Message& m) {
     // Remote resource access by RPC: used by the ConTract-style central
     // baseline and available as the Sec. 4.4.1 "further optimization".
     auto req = contract::decode_invoke(m);
-    txm_.note_remote_staged(req.tx);
-    const auto service = p_.config().resource_op_service_us;
-    timers_.after(service, [this, req = std::move(req), from = m.from] {
-      Status st;
-      if (req.comp_op.empty()) {
-        st = rm_.invoke(req.tx, req.resource, req.op, req.params).status();
-      } else {
-        // A shipped compensating operation in a resource-entry context.
-        rollback::CompensationContext ctx(rollback::OpEntryKind::resource,
-                                          req.params, p_.sim().now(), &rm_,
-                                          req.tx, nullptr);
-        st = p_.compensations().run(req.comp_op, ctx);
-      }
-      p_.net().send(net::Message{id_, from, contract::msg::result,
-                                 contract::encode_result(req.tx, st)});
-    });
+    const TxId tx = req.tx;
+    serve(tx, p_.config().resource_op_service_us,
+          [this, req = std::move(req), from = m.from] {
+            // A resource operation, or a shipped compensating operation in
+            // a resource-entry context.
+            const Status st =
+                req.comp_op.empty()
+                    ? rm_.invoke(req.tx, req.resource, req.op, req.params)
+                          .status()
+                    : run_comp_ops(req.tx,
+                                   {OperationEntry{OpEntryKind::resource,
+                                                   req.comp_op, req.params,
+                                                   id_, req.resource}},
+                                   nullptr);
+            return net::Message{id_, from, contract::msg::result,
+                                contract::encode_result(req.tx, st)};
+          });
     return;
   }
   if (m.type == msg::rce_ack || m.type == msg::mce_ack ||
@@ -541,6 +537,13 @@ void NodeRuntime::handle_message(const net::Message& m) {
     return;
   }
   MAR_CHECK_MSG(false, "unknown message type " << m.type);
+}
+
+void NodeRuntime::serve(TxId tx, sim::TimeUs service,
+                        std::function<net::Message()> run) {
+  txm_.note_remote_staged(tx);
+  timers_.after(service,
+                [this, run = std::move(run)] { p_.net().send(run()); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1253,15 +1256,19 @@ bool NodeRuntime::ship_mixed_is_cheaper(const rollback::RollbackLog& log,
   return ship_time <= migrate_time;
 }
 
-Status NodeRuntime::run_comp_op(TxId tx, const OperationEntry& op,
-                                serial::Value* weak) {
-  rollback::CompensationContext ctx(op.kind, op.params, p_.sim().now(), &rm_,
-                                    tx, weak);
-  Status st = p_.compensations().run(op.comp_op, ctx);
-  trace(TraceKind::comp_op,
-        std::string(rollback::to_string(op.kind)) + " " + op.comp_op +
-            (st.is_ok() ? "" : " FAILED: " + st.to_string()));
-  return st;
+Status NodeRuntime::run_comp_ops(TxId tx,
+                                 const std::vector<OperationEntry>& ops,
+                                 serial::Value* weak) {
+  for (const auto& op : ops) {
+    rollback::CompensationContext ctx(op.kind, op.params, p_.sim().now(), &rm_,
+                                      tx, weak);
+    Status st = p_.compensations().run(op.comp_op, ctx);
+    trace(TraceKind::comp_op,
+          std::string(rollback::to_string(op.kind)) + " " + op.comp_op +
+              (st.is_ok() ? "" : " FAILED: " + st.to_string()));
+    if (!st.is_ok()) return st;
+  }
+  return Status::ok();
 }
 
 void NodeRuntime::execute_compensation(const QueueRecord& rec) {
@@ -1302,133 +1309,95 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     ops.push_back(entry.operation());
   }
 
-  const auto& cfg = p_.config();
-  const bool ship_rces = cfg.strategy != RollbackStrategy::basic &&
-                         !eos.has_mixed && eos.node != id_;
-  // Adaptive strategy (Sec. 4.4.1 "further optimizations"): the routing
-  // decision already kept the agent here because shipping the step's
-  // operation entries + weak-state snapshot is cheaper than transferring
-  // the agent to the resource node.
-  const bool ship_mixed = cfg.strategy == RollbackStrategy::adaptive &&
-                          eos.has_mixed && eos.node != id_;
+  // One placement decision (Fig. 4b, Fig. 5b, Sec. 4.4.1): which entries
+  // run here, and which at the step's resource node.
+  const auto strategy = p_.config().strategy;
+  const bool remote = eos.node != id_;
+  // Adaptive strategy: the routing decision kept the agent here because
+  // shipping the whole list (mixed entries need the resource and the weak
+  // state in log order at one place) plus a weak snapshot is cheaper.
+  const bool ship_mixed =
+      strategy == RollbackStrategy::adaptive && eos.has_mixed && remote;
+  std::vector<OperationEntry> local;
+  std::vector<OperationEntry> shipped;
+  if (ship_mixed) {
+    ++p_.mixed_ships();
+    shipped = std::move(ops);
+  } else if (strategy != RollbackStrategy::basic && !eos.has_mixed &&
+             remote) {
+    // Optimized algorithm (Fig. 5b): the RCEs go to the resource node,
+    // the ACEs run here concurrently.
+    for (auto& op : ops) {
+      MAR_CHECK_MSG(op.kind != OpEntryKind::mixed,
+                    "mixed entry in a step whose EOS mixed-flag is false");
+      (op.kind == OpEntryKind::agent ? local : shipped).push_back(std::move(op));
+    }
+  } else {
+    // Everything runs here (Fig. 4b, or a mixed step the agent travelled
+    // to); Sec. 4.3's fault-tolerant extension allows the EOS entry's
+    // alternative nodes.
+    MAR_CHECK_MSG(!remote || std::find(eos.alternatives.begin(),
+                                       eos.alternatives.end(),
+                                       id_) != eos.alternatives.end(),
+                  "compensation transaction routed to the wrong node");
+    local = std::move(ops);
+  }
 
-  auto comp_failed = [this, tx, rec](Status st) {
-    trace(TraceKind::comp_abort, st.to_string());
+  // Join the shipped list's ack and the local list's service time: the
+  // first failure wins, and the last arrival commits or retries the CT.
+  struct Join {
+    int pending = 1;
+    Status status;
+  };
+  auto join = std::make_shared<Join>();
+  auto arrived = [this, tx, rec, agent, join](Status st) {
+    if (!st.is_ok() && join->status.is_ok()) join->status = std::move(st);
+    if (--join->pending > 0) return;
+    if (join->status.is_ok()) {
+      finish_compensation(tx, rec, agent);
+      return;
+    }
+    trace(TraceKind::comp_abort, join->status.to_string());
     const auto attempts = ++attempts_[rec.record_id];
     const auto max = p_.config().max_compensation_attempts;
     txm_.abort_tx(tx);
     if (max > 0 && attempts >= max) {
       // Sec. 3.2: some compensations cannot succeed (e.g. the withdrawn
       // deposit); surface the permanently failed rollback to the owner.
-      fail_agent(rec,
-                 Status(Errc::compensation_failed,
-                        "compensation permanently failed: " + st.to_string()));
+      fail_agent(rec, Status(Errc::compensation_failed,
+                             "compensation permanently failed: " +
+                                 join->status.to_string()));
       return;
     }
     release_slot(rec);
     retry_later(rec);
   };
-
-  if (ship_mixed) {
-    // Ship the complete operation-entry list (mixed entries need both the
-    // resource and the weak agent state, so everything must execute in
-    // log order at one place — the resource node) together with a weak
-    // snapshot; merge the updated weak state back on acknowledgement.
-    ++p_.mixed_ships();
-    ship_comp_ops(
-        tx, eos.node, ops, &agent->data().weak_image(),
-        [this, tx, rec, agent, comp_failed](serial::Decoder* ack) {
-          if (ack == nullptr) {
-            comp_failed(
-                Status(Errc::unreachable, "mce shipment unacknowledged"));
-          } else if (!ack->read_bool()) {
-            comp_failed(Status(Errc::compensation_failed,
-                               "shipped mixed compensation failed"));
-          } else {
-            agent->data().weak_slots()->deserialize(*ack);
-            finish_compensation(tx, rec, agent);
-          }
-        });
-    return;
-  }
-
-  if (!ship_rces) {
-    // Basic algorithm (Fig. 4b), or a mixed/step-local compensation in the
-    // optimized algorithm: everything runs here, sequentially. Sec. 4.3's
-    // fault-tolerant extension allows the EOS entry's alternative nodes.
-    if (cfg.strategy == RollbackStrategy::basic || eos.has_mixed) {
-      const bool allowed =
-          eos.node == id_ ||
-          cfg.strategy == RollbackStrategy::adaptive ||
-          std::find(eos.alternatives.begin(), eos.alternatives.end(), id_) !=
-              eos.alternatives.end();
-      MAR_CHECK_MSG(allowed,
-                    "compensation transaction routed to the wrong node");
-    }
-    Status st = Status::ok();
-    for (const auto& op : ops) {
-      st = run_comp_op(tx, op, agent->data().weak_slots());
-      if (!st.is_ok()) break;
-    }
-    const auto service =
-        static_cast<sim::TimeUs>(ops.size()) * cfg.comp_op_service_us;
-    timers_.after(service, [this, tx, rec, agent = std::move(agent), st,
-                    comp_failed] {
-      if (!st.is_ok()) {
-        comp_failed(st);
-        return;
-      }
-      finish_compensation(tx, rec, agent);
-    });
-    return;
-  }
-
-  // Optimized algorithm, no mixed entries (Fig. 5b): group the operation
-  // entries; ship the RCE list to the resource node; run the ACE list
-  // locally, concurrently with the shipped list.
-  std::vector<OperationEntry> aces;
-  std::vector<OperationEntry> rces;
-  for (auto& op : ops) {
-    MAR_CHECK_MSG(op.kind != OpEntryKind::mixed,
-                  "mixed entry in a step whose EOS mixed-flag is false");
-    (op.kind == OpEntryKind::agent ? aces : rces).push_back(std::move(op));
-  }
-
-  struct Join {
-    int pending = 0;
-    Status status;
-  };
-  auto join = std::make_shared<Join>();
-  auto arrived = [this, tx, rec, agent, join, comp_failed](Status st) {
-    if (!st.is_ok() && join->status.is_ok()) join->status = st;
-    if (--join->pending > 0) return;
-    if (!join->status.is_ok()) {
-      comp_failed(join->status);
-      return;
-    }
-    finish_compensation(tx, rec, agent);
-  };
-
-  if (!rces.empty()) {
+  if (!shipped.empty()) {
     ++join->pending;
-    ship_comp_ops(tx, eos.node, rces, nullptr, [arrived](serial::Decoder* ack) {
-      arrived(ack != nullptr && ack->read_bool()
-                  ? Status::ok()
-                  : Status(Errc::compensation_failed,
-                           "shipped resource compensation failed"));
-    });
+    // A mixed list travels with the weak snapshot; the acked weak state
+    // is merged back and becomes durable with the CT.
+    serial::Value* weak = ship_mixed ? agent->data().weak_slots() : nullptr;
+    ship_comp_ops(tx, eos.node, shipped, weak,
+                  [arrived, weak](serial::Decoder* ack) {
+                    if (ack == nullptr && weak != nullptr) {
+                      return arrived(Status(Errc::unreachable,
+                                            "mce shipment unacknowledged"));
+                    }
+                    if (ack == nullptr || !ack->read_bool()) {
+                      return arrived(Status(
+                          Errc::compensation_failed,
+                          weak != nullptr
+                              ? "shipped mixed compensation failed"
+                              : "shipped resource compensation failed"));
+                    }
+                    if (weak != nullptr) weak->deserialize(*ack);
+                    arrived(Status::ok());
+                  });
   }
-
-  // Agent compensation entries run locally, overlapping the shipped RCEs.
-  ++join->pending;
-  Status ace_status = Status::ok();
-  for (const auto& op : aces) {
-    ace_status = run_comp_op(tx, op, agent->data().weak_slots());
-    if (!ace_status.is_ok()) break;
-  }
-  const auto ace_service =
-      static_cast<sim::TimeUs>(aces.size()) * cfg.comp_op_service_us;
-  timers_.after(ace_service, [arrived, ace_status] { arrived(ace_status); });
+  Status st = run_comp_ops(tx, local, agent->data().weak_slots());
+  timers_.after(
+      static_cast<sim::TimeUs>(local.size()) * p_.config().comp_op_service_us,
+      [arrived, st = std::move(st)] { arrived(st); });
 }
 
 void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,

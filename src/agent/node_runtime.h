@@ -174,11 +174,12 @@ class NodeRuntime {
   void apply_next_alternative(Agent& agent, SavepointId target);
 
   // --- compensation machinery ---------------------------------------------------
-  /// Execute one compensating operation locally within `tx`. `weak` is the
-  /// weakly-reversible slot map the operation may touch (the agent's own
-  /// map, or a shipped snapshot; null for pure resource entries).
-  Status run_comp_op(TxId tx, const rollback::OperationEntry& op,
-                     serial::Value* weak);
+  /// Execute compensating operations here within `tx`, in order, up to
+  /// the first failure. `weak` is the weakly-reversible slot map they may
+  /// touch (the agent's own map, or a shipped snapshot; null for pure
+  /// resource entries).
+  Status run_comp_ops(TxId tx, const std::vector<rollback::OperationEntry>& ops,
+                      serial::Value* weak);
   /// Finish a compensation transaction: target check, restore, routing
   /// (the compensation side of the rollback driver).
   void finish_compensation(TxId tx, const storage::QueueRecord& rec,
@@ -230,6 +231,10 @@ class NodeRuntime {
   /// (locally or by transactional RPC), then run `done(ok)`.
   void deliver_result(TxId tx, const Agent& agent, bool ok,
                       const Status& error, std::function<void(bool)> done);
+  /// Serve a remote operation request of a remote coordinator's `tx`
+  /// (rce.exec, mce.exec, ctr.invoke): note the staged participant, wait
+  /// `service`, then `run` the operations and send the reply it returns.
+  void serve(TxId tx, sim::TimeUs service, std::function<net::Message()> run);
   /// Send `request` and run `on_reply` with its reply for `tx` (rce.ack,
   /// mce.ack or ctr.result), or with nullptr once `timeout` passed without
   /// one (0 waits forever). At most one reply per tx is awaited.
