@@ -541,9 +541,15 @@ void NodeRuntime::handle_message(const net::Message& m) {
 
 void NodeRuntime::serve(TxId tx, sim::TimeUs service,
                         std::function<net::Message()> run) {
+  // An aborted attempt's request runs nothing and gets no reply: its
+  // coordinator gave up on it, and running would only stage orphaned
+  // effects (and locks) until an inquiry presumes the abort. The abort
+  // may have overtaken the request, or arrive during the service time.
+  if (txm_.take_early_abort(tx)) return;
   txm_.note_remote_staged(tx);
-  timers_.after(service,
-                [this, run = std::move(run)] { p_.net().send(run()); });
+  timers_.after(service, [this, tx, run = std::move(run)] {
+    if (txm_.in_doubt(tx)) p_.net().send(run());
+  });
 }
 
 // ---------------------------------------------------------------------------

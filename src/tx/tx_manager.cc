@@ -382,7 +382,9 @@ void TxManager::flush_participant_group() {
 
 void TxManager::handle_abort(TxId tx) {
   abort_locals(tx);
-  in_doubt_.erase(tx);
+  if (in_doubt_.erase(tx) == 0 && coordinator_of(tx) != self_) {
+    early_aborts_.insert(tx);
+  }
 }
 
 void TxManager::handle_inquiry(TxId tx, NodeId from) {
@@ -466,6 +468,7 @@ void TxManager::on_crash() {
   timers_.invalidate();
   coords_.clear();
   in_doubt_.clear();
+  early_aborts_.clear();
   // Queued-but-unflushed group commits die with the crash: nothing was
   // applied, so recovery presumed-aborts them from their prepared markers
   // and their records stay queued (restartability).

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "net/network.h"
@@ -122,6 +123,14 @@ class TxManager {
   /// inquiry timer so an orphaned transaction is eventually presumed
   /// aborted and its staged state (and locks) released.
   void note_remote_staged(TxId tx);
+  /// Whether `tx`, staged here by a remote coordinator, still awaits its
+  /// outcome (no abort, commit or presumed-abort decision arrived yet).
+  [[nodiscard]] bool in_doubt(TxId tx) const { return in_doubt_.contains(tx); }
+  /// Whether the abort of a remote coordinator's `tx` arrived here before
+  /// anything of it was staged; consumes that tombstone.
+  [[nodiscard]] bool take_early_abort(TxId tx) {
+    return early_aborts_.erase(tx) > 0;
+  }
   /// A PREPARE carried inside a ship.convoy frame (one round trip: the
   /// transfer IS the prepare). Routes into the same vote machinery as a
   /// tx.prepare message; convoys deliver whole batches of these at once,
@@ -285,6 +294,11 @@ class TxManager {
   /// Transactions this node has prepared as a participant and whose
   /// outcome is still unknown (coordinator field for inquiries).
   std::map<TxId, NodeId> in_doubt_;
+  /// Tombstones of aborts that overtook their transaction's request (the
+  /// reliable layer retransmits each message on its own schedule, so after
+  /// a recovery they arrive in either order). Volatile: a crash clears
+  /// them, so they are bounded by the transactions in flight then.
+  std::unordered_set<TxId> early_aborts_;
   std::uint64_t next_tx_ = 1;
 
   /// Decided-but-unsynced local commits awaiting the group flush. Their

@@ -261,5 +261,67 @@ TEST(FaultTest, CompensationRunsOnAlternativeNodeWhenPrimaryStaysDown) {
   EXPECT_TRUE(comp_on_alternative);
 }
 
+TEST(FaultTest, AbortedAttemptsShippedRcesDoNotRunAfterRecovery) {
+  // The node holding the first shipped RCE list (N3) is down past the
+  // stage timeout, so that compensation attempt aborts and a second one
+  // ships the list again. After N3 recovers, the reliable layer
+  // retransmits the aborted attempt's rce.exec and its tx.abort, each on
+  // its own 50 ms schedule, so either may arrive first. A service time
+  // longer than that interval makes the abort arrive before the request's
+  // service ends in both orders. Sweeping the recovery instant over one
+  // interval covers both: the abort overtakes the request (the tombstone
+  // refuses it) or arrives during its service (the request is no longer
+  // in doubt).
+  for (sim::TimeUs offset = 0; offset < 50'000; offset += 1'000) {
+    PlatformConfig cfg;
+    cfg.strategy = RollbackStrategy::optimized;
+    cfg.comp_op_service_us = 60'000;
+    cfg.lock_audit = true;
+    TestWorld w(cfg, /*node_count=*/4);
+    register_workload(w.platform);
+    w.open_account(1, "acct", 1000);
+    w.open_account(2, "acct", 1000);
+    auto agent = std::make_unique<WorkloadAgent>();
+    agent->itinerary() = single_sub(
+        {{"withdraw", 1}, {"withdraw", 2}, {"touch_split", 3}, {"noop", 4}});
+    agent->set_trigger("noop", 4, "sub", 0);
+    const sim::TimeUs recovery = 3'008'000 + offset;
+    w.faults.crash_at(TestWorld::n(3), 8'000, recovery - 8'000);
+    auto id = w.platform.launch(std::move(agent));
+    ASSERT_TRUE(id.is_ok());
+
+    auto& n3 = w.platform.node(TestWorld::n(3));
+    w.sim.run_until(recovery + 1);
+    ASSERT_EQ(w.trace.count(TraceKind::rce_shipped), 2u)
+        << "offset " << offset << ": the first attempt did not abort";
+    const auto acquired = n3.resources().lock_audit()->stats().acquires;
+    // Bounded: an orphan that stages locks after its abort leaks them,
+    // and the live attempt would then retry forever.
+    w.sim.run_while_pending([&w, recovery] {
+      return w.trace.count(TraceKind::rollback_done) > 0 ||
+             w.sim.now() > recovery + 10'000'000;
+    });
+    ASSERT_EQ(w.trace.count(TraceKind::rollback_done), 1u)
+        << "offset " << offset;
+    // Only the live attempt's compensating op ran on N3, and only its
+    // transaction took a lock there.
+    std::size_t ran_on_n3 = 0;
+    for (const auto& e : w.trace.of_kind(TraceKind::comp_op)) {
+      if (e.node == 3) ++ran_on_n3;
+    }
+    EXPECT_EQ(ran_on_n3, 1u) << "offset " << offset;
+    EXPECT_EQ(n3.resources().lock_audit()->stats().acquires - acquired, 1u)
+        << "offset " << offset;
+
+    ASSERT_TRUE(w.platform.run_until_finished(id.value()));
+    EXPECT_EQ(w.platform.outcome(id.value()).state,
+              agent::AgentOutcome::State::done)
+        << "offset " << offset;
+    w.sim.run_until(w.sim.now() + 1'000'000);  // let the commits drain
+    EXPECT_FALSE(n3.resources().locked("dir")) << "offset " << offset;
+    EXPECT_TRUE(n3.txm().idle()) << "offset " << offset;
+  }
+}
+
 }  // namespace
 }  // namespace mar
