@@ -152,20 +152,13 @@ void NodeRuntime::span_commit_flush(const QueueRecord& rec,
 
 void NodeRuntime::record_span(const QueueRecord& rec, SpanKind kind,
                               std::uint64_t begin_us, std::string note) {
-  auto& spans = p_.spans();
-  Span s;
-  s.trace_id = rec.trace_id;
   // The hop span was opened (its id drawn) at claim time; every other
   // span is a fresh child of the hop.
-  s.span_id = kind == SpanKind::hop ? rec.hop_span_id : spans.next_id();
-  s.parent = kind == SpanKind::hop ? rec.trace_parent : rec.hop_span_id;
-  s.kind = kind;
-  s.node = id_.value();
-  s.agent = rec.agent.valid() ? rec.agent.value() : 0;
-  s.begin_us = begin_us;
-  s.end_us = p_.sim().now();
-  s.note = std::move(note);
-  spans.record(std::move(s));
+  const bool hop = kind == SpanKind::hop;
+  p_.spans().add(rec.trace_id, hop ? rec.hop_span_id : 0,
+                 hop ? rec.trace_parent : rec.hop_span_id, kind, id_.value(),
+                 rec.agent.valid() ? rec.agent.value() : 0, begin_us,
+                 p_.sim().now(), std::move(note));
 }
 
 void NodeRuntime::propagate_trace(const QueueRecord& from,

@@ -233,16 +233,9 @@ void ShipmentManager::dispatch_convoy(NodeId dest,
   for (const auto& p : batch) enc.write_bytes(p.frame);
   if (p_.spans().enabled()) {
     for (const auto& p : batch) {
-      Span s;
-      s.trace_id = p.record.trace_id;
-      s.span_id = p_.spans().next_id();
-      s.parent = p.record.trace_parent;
-      s.kind = SpanKind::convoy_wait;
-      s.node = self_.value();
-      s.agent = p.record.agent.value();
-      s.begin_us = p.staged_at;
-      s.end_us = now;
-      p_.spans().record(s);
+      p_.spans().add(p.record.trace_id, 0, p.record.trace_parent,
+                     SpanKind::convoy_wait, self_.value(),
+                     p.record.agent.value(), p.staged_at, now);
     }
   }
   ++stats_.convoys_sent;
@@ -289,11 +282,6 @@ void ShipmentManager::on_convoy(const net::Message& m) {
     const auto mode = entry.read_u8();
     storage::QueueRecord rec;
     rec.deserialize(entry);
-    // The record is consumed by the staging below; keep what the spans
-    // need.
-    const auto trace_id = rec.trace_id;
-    const auto trace_parent = rec.trace_parent;
-    const auto agent_value = rec.agent.value();
     std::uint8_t status = kStaged;
     std::size_t wire_bytes = rec.payload.size();
     if (mode == kDeltaFrame) {
@@ -325,16 +313,23 @@ void ShipmentManager::on_convoy(const net::Message& m) {
           status = kNeedFull;
         }
       }
-      if (status == kStaged) {
-        storage_.note_shipment(wire_bytes, rec.payload.size());
-        recv_cache_.put(m.from, rec.agent, rec.payload, epoch_tag_,
-                        p_.config().ship_cache_bytes);
-        txm_.note_remote_staged(tx);
-        qm_.stage_enqueue(tx, std::move(rec));
-      }
     } else {
       MAR_CHECK_MSG(mode == kFullFrame, "unknown convoy entry mode");
       entry.expect_end();
+    }
+    if (status == kStaged) {
+      if (p_.spans().enabled()) {
+        // Staging/reconstruction is instantaneous in simulation time; the
+        // apply span is a zero-width causal marker of where the record
+        // landed and in which form.
+        const auto now = p_.sim().now();
+        p_.spans().add(rec.trace_id, 0, rec.trace_parent, SpanKind::wire,
+                       self_.value(), rec.agent.value(), sent_at, now,
+                       std::to_string(wire_bytes) + " bytes");
+        p_.spans().add(rec.trace_id, 0, rec.trace_parent, SpanKind::apply,
+                       self_.value(), rec.agent.value(), now, now,
+                       mode == kDeltaFrame ? "delta" : "full");
+      }
       storage_.note_shipment(wire_bytes, rec.payload.size());
       if (!rec.payload.empty()) {
         recv_cache_.put(m.from, rec.agent, rec.payload, epoch_tag_,
@@ -342,35 +337,10 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       }
       txm_.note_remote_staged(tx);
       qm_.stage_enqueue(tx, std::move(rec));
-    }
-    if (status == kStaged && p_.spans().enabled()) {
-      const auto now = p_.sim().now();
-      Span w;
-      w.trace_id = trace_id;
-      w.span_id = p_.spans().next_id();
-      w.parent = trace_parent;
-      w.kind = SpanKind::wire;
-      w.node = self_.value();
-      w.agent = agent_value;
-      w.begin_us = sent_at;
-      w.end_us = now;
-      w.note = std::to_string(wire_bytes) + " bytes";
-      p_.spans().record(w);
-      // Staging/reconstruction is instantaneous in simulation time; the
-      // apply span is a zero-width causal marker of where the record
-      // landed and in which form.
-      Span a = w;
-      a.span_id = p_.spans().next_id();
-      a.kind = SpanKind::apply;
-      a.begin_us = now;
-      a.note = mode == kDeltaFrame ? "delta" : "full";
-      p_.spans().record(a);
-    }
-    // The staged entry doubles as the PREPARE (one round trip): queue the
-    // prepare-and-vote now that the staged state exists. A kNeedFull
-    // entry staged nothing, so no vote leaves — the full-image retry
-    // carries the prepare again.
-    if (status == kStaged) {
+      // The staged entry doubles as the PREPARE (one round trip): queue
+      // the prepare-and-vote now that the staged state exists. A
+      // kNeedFull entry staged nothing, so no vote leaves — the
+      // full-image retry carries the prepare again.
       txm_.on_piggybacked_prepare(tx, m.from);
     }
     ack.write_u64(tx.value());

@@ -62,6 +62,16 @@ void SpanSink::record(Span span) {
   }
 }
 
+void SpanSink::add(std::uint64_t trace_id, std::uint64_t span_id,
+                   std::uint64_t parent, SpanKind kind, std::uint32_t node,
+                   std::uint64_t agent, std::uint64_t begin_us,
+                   std::uint64_t end_us, std::string note) {
+  record(Span{.trace_id = trace_id,
+              .span_id = span_id != 0 ? span_id : next_id(),
+              .parent = parent, .kind = kind, .node = node, .agent = agent,
+              .begin_us = begin_us, .end_us = end_us, .note = std::move(note)});
+}
+
 void SpanSink::set_capacity(std::size_t cap) {
   // A ring of zero slots has nowhere to put a span; span_tracing = false
   // is how recording is turned off.

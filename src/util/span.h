@@ -70,6 +70,11 @@ class SpanSink {
   std::uint64_t next_id() { return next_id_++; }
 
   void record(Span span);
+  /// Build and record one finished span; `span_id` 0 draws the next id.
+  /// Every span of the platform is built here.
+  void add(std::uint64_t trace_id, std::uint64_t span_id, std::uint64_t parent,
+           SpanKind kind, std::uint32_t node, std::uint64_t agent,
+           std::uint64_t begin_us, std::uint64_t end_us, std::string note = {});
 
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }

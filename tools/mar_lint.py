@@ -51,6 +51,11 @@ Rules (each with a stable id used in messages and suppressions):
                         (after / every / FlushWindow), so one crash or
                         recovery invalidates it. A raw timer outlives the
                         crash and acts on the recovered node.
+  R10 span-builder      Span objects are built only in src/util/span.*:
+                        everywhere else records through SpanSink::add, so
+                        id drawing, parenting and the field layout of a
+                        span stay in one place and span dumps cannot drift
+                        between call sites.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -253,6 +258,25 @@ def check_crash_scoped_timer(relpath, path, lines, findings):
                                     "FlushWindow)"))
 
 
+# --- R10: spans are built only in util/span -----------------------------
+
+SPAN_BUILDER_ALLOWED = ("src/util/span.h", "src/util/span.cc")
+SPAN_BUILD_RE = re.compile(
+    r"(?<![\w:])(?:mar::)?Span\b(?:\s*[{(]|\s+\w+\s*[;={(])")
+
+
+def check_span_builder(relpath, path, lines, findings):
+    if relpath in SPAN_BUILDER_ALLOWED:
+        return
+    for i, line in enumerate(lines, 1):
+        m = SPAN_BUILD_RE.search(strip_noise(line))
+        if m:
+            findings.append(Finding(path, i, "R10",
+                                    f"`{m.group(0).strip()}` builds a Span "
+                                    "outside src/util/span.*; record "
+                                    "through SpanSink::add"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -360,6 +384,7 @@ def run_lint(root, explicit_files=None):
         check_no_blocking_wait(relpath, relpath, lines, findings)
         check_record_scope(relpath, relpath, lines, findings)
         check_crash_scoped_timer(relpath, relpath, lines, findings)
+        check_span_builder(relpath, relpath, lines, findings)
     if not explicit_files:
         check_trace_registered(root, findings)
         check_stat_registered(root, findings)
@@ -410,6 +435,13 @@ void rogue_blocking_commit(std::condition_variable& cv,
     "src/ship/rogue_timer.cc": """
 void rogue_dwell(mar::sim::Simulator& sim) {
   sim.schedule_after(200, [] {});  // outlives a crash of this node
+}
+""",
+    "src/ship/rogue_span.cc": """
+void rogue_span(mar::SpanSink& sink) {
+  mar::Span s;
+  s.span_id = sink.next_id();
+  sink.record(s);
 }
 """,
     "src/net/rogue_stats.h": """
@@ -469,6 +501,15 @@ void good_central_retry(mar::sim::Simulator& sim) {
   sim.schedule_after(25000, [] {});
 }
 """,
+    "src/agent/good_span.cc": """
+void good_span(mar::SpanSink& sink, const mar::ByteSpan bytes) {
+  // Spans go through the sink's builder; other *Span types are fine.
+  sink.add(1, 0, 0, mar::SpanKind::apply, 2, 3, 4, 5, "full");
+  ByteSpan view = bytes;
+  (void)view;
+  for (const mar::Span& s : sink.spans()) (void)s;
+}
+""",
     "src/net/good_stats.cc": """
 void wire_metrics(mar::MetricsRegistry& m, mar::net::GoodStats& s) {
   m.register_counter("net.frames_sent", &s.frames_sent);
@@ -494,7 +535,7 @@ def self_test():
         findings = run_lint(root)
         fired = {f.rule for f in findings}
         expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                    "R9"}
+                    "R9", "R10"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
