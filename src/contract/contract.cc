@@ -74,17 +74,36 @@ void ContractManager::on_message(const net::Message& m) {
   MAR_CHECK_MSG(false, "contract manager: unexpected message " << m.type);
 }
 
-void ContractManager::remote_invoke(TxId tx, NodeId node,
-                                    const std::string& resource,
-                                    const std::string& op,
-                                    const Value& params,
-                                    const std::string& comp_op,
-                                    std::function<void(Status)> reply) {
+void ContractManager::transact(const ScriptStep& step, bool compensate,
+                               std::function<void()> retry,
+                               std::function<void()> committed) {
+  const TxId tx = txm_.begin();
+  auto failed = [this, retry = std::move(retry)] {
+    ++stats_.tx_aborts;
+    sim_.schedule_after(tx::kRetryBackoffUs, retry);
+  };
   ++stats_.rpcs;
-  txm_.enlist_remote(tx, node);
-  net_.send(net::Message{self_, node, msg::invoke,
-                         encode_invoke(tx, resource, op, params, comp_op)});
-  waiting_[tx] = std::move(reply);
+  txm_.enlist_remote(tx, step.node);
+  net_.send(net::Message{
+      self_, step.node, msg::invoke,
+      encode_invoke(tx, step.resource, step.op,
+                    compensate ? step.comp_params : step.params,
+                    compensate ? step.comp_op : std::string())});
+  waiting_[tx] = [this, tx, failed, committed = std::move(committed)](
+                     Status status) {
+    if (!status.is_ok()) {
+      txm_.abort_tx(tx);
+      failed();
+      return;
+    }
+    txm_.commit_async(tx, [failed, committed](bool ok) {
+      if (ok) {
+        committed();
+      } else {
+        failed();
+      }
+    });
+  };
 }
 
 void ContractManager::run(std::vector<ScriptStep> script, Done done) {
@@ -103,29 +122,12 @@ void ContractManager::run_step() {
     if (done) done(Status::ok());
     return;
   }
-  const ScriptStep& step = script_[position_];
-  const TxId tx = txm_.begin();
-  remote_invoke(tx, step.node, step.resource, step.op, step.params, "",
-                [this, tx](Status status) {
-                  if (!status.is_ok()) {
-                    ++stats_.tx_aborts;
-                    txm_.abort_tx(tx);
-                    sim_.schedule_after(tx::kRetryBackoffUs,
-                                        [this] { run_step(); });
-                    return;
-                  }
-                  txm_.commit_async(tx, [this](bool committed) {
-                    if (!committed) {
-                      ++stats_.tx_aborts;
-                      sim_.schedule_after(tx::kRetryBackoffUs,
-                                          [this] { run_step(); });
-                      return;
-                    }
-                    ++stats_.steps_committed;
-                    ++position_;
-                    run_step();
-                  });
-                });
+  transact(script_[position_], /*compensate=*/false, [this] { run_step(); },
+           [this] {
+             ++stats_.steps_committed;
+             ++position_;
+             run_step();
+           });
 }
 
 void ContractManager::rollback(std::size_t steps, Done done) {
@@ -144,35 +146,13 @@ void ContractManager::compensate_step(std::size_t remaining, Done done) {
     compensate_step(remaining - 1, std::move(done));
     return;
   }
-  const TxId tx = txm_.begin();
-  auto on_reply = [this, tx, remaining,
-                   done = std::move(done)](Status status) mutable {
-    if (!status.is_ok()) {
-      ++stats_.tx_aborts;
-      txm_.abort_tx(tx);
-      auto retry = [this, remaining, done = std::move(done)]() mutable {
-        compensate_step(remaining, std::move(done));
-      };
-      sim_.schedule_after(tx::kRetryBackoffUs, std::move(retry));
-      return;
-    }
-    txm_.commit_async(tx, [this, remaining,
-                           done = std::move(done)](bool committed) mutable {
-      if (!committed) {
-        ++stats_.tx_aborts;
-        auto retry = [this, remaining, done = std::move(done)]() mutable {
-          compensate_step(remaining, std::move(done));
-        };
-        sim_.schedule_after(tx::kRetryBackoffUs, std::move(retry));
-        return;
-      }
-      ++stats_.steps_compensated;
-      --position_;
-      compensate_step(remaining - 1, std::move(done));
-    });
-  };
-  remote_invoke(tx, step.node, step.resource, step.op, step.comp_params,
-                step.comp_op, std::move(on_reply));
+  transact(step, /*compensate=*/true,
+           [this, remaining, done] { compensate_step(remaining, done); },
+           [this, remaining, done] {
+             ++stats_.steps_compensated;
+             --position_;
+             compensate_step(remaining - 1, done);
+           });
 }
 
 }  // namespace mar::contract

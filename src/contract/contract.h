@@ -94,12 +94,12 @@ class ContractManager {
  private:
   void run_step();
   void compensate_step(std::size_t remaining, Done done);
-  /// RPC an operation to a node within `tx`: the registered compensating
-  /// operation `comp_op` when non-empty, else `op` on `resource`.
-  void remote_invoke(TxId tx, NodeId node, const std::string& resource,
-                     const std::string& op, const Value& params,
-                     const std::string& comp_op,
-                     std::function<void(Status)> reply);
+  /// One transaction for `step`: RPC its operation (with `compensate`,
+  /// its registered compensating operation) to the step's node, then
+  /// commit. On commit run `committed`; a failed RPC or commit counts the
+  /// abort and runs `retry` after tx::kRetryBackoffUs.
+  void transact(const ScriptStep& step, bool compensate,
+                std::function<void()> retry, std::function<void()> committed);
 
   NodeId self_;
   sim::Simulator& sim_;
