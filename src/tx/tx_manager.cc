@@ -382,9 +382,7 @@ void TxManager::flush_participant_group() {
 
 void TxManager::handle_abort(TxId tx) {
   abort_locals(tx);
-  if (in_doubt_.erase(tx) == 0 && coordinator_of(tx) != self_) {
-    early_aborts_.insert(tx);
-  }
+  in_doubt_.erase(tx);
 }
 
 void TxManager::handle_inquiry(TxId tx, NodeId from) {
@@ -454,6 +452,11 @@ void TxManager::on_message(const net::Message& m) {
       finish(tx, c, true);
     }
   } else if (t == msg::abort) {
+    // The coordinator's ABORT overtook everything of its transaction:
+    // leave a tombstone for the request still on its way.
+    if (!in_doubt_.contains(tx) && coordinator_of(tx) != self_) {
+      early_aborts_.insert(tx);
+    }
     handle_abort(tx);
   } else if (t == msg::inquiry) {
     handle_inquiry(tx, m.from);

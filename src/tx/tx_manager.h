@@ -294,10 +294,11 @@ class TxManager {
   /// Transactions this node has prepared as a participant and whose
   /// outcome is still unknown (coordinator field for inquiries).
   std::map<TxId, NodeId> in_doubt_;
-  /// Tombstones of aborts that overtook their transaction's request (the
-  /// reliable layer retransmits each message on its own schedule, so after
-  /// a recovery they arrive in either order). Volatile: a crash clears
-  /// them, so they are bounded by the transactions in flight then.
+  /// Tombstones of remote aborts that arrived before anything of their
+  /// transaction was staged here. The reliable layer retransmits each
+  /// message on its own schedule, so after an outage of this node or its
+  /// link an abort can overtake its request; the request consumes the
+  /// tombstone. Volatile: a crash clears them.
   std::unordered_set<TxId> early_aborts_;
   std::uint64_t next_tx_ = 1;
 
