@@ -1396,7 +1396,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
   Status st = run_comp_ops(tx, local, agent->data().weak_slots());
   timers_.after(
       static_cast<sim::TimeUs>(local.size()) * p_.config().comp_op_service_us,
-      [arrived, st = std::move(st)] { arrived(st); });
+      [arrived = std::move(arrived), st = std::move(st)] { arrived(st); });
 }
 
 void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
